@@ -59,7 +59,7 @@ PER_LAYER = {
     "experiment.self_s": ("s", ("experiment.run_experiment",)),
     "experiment.sweep_efficiency": ("ratio", ("experiment.run_experiment",)),
     # measured by run.py: verify time from the untraced samples of a traced
-    # run, and traced against untraced run_s
+    # run (0 on workloads that do not verify), and traced against untraced run_s
     "cli.verify_s": ("s", ()),
     "trace.run_s": ("s", ()),
     "trace.overhead_s": ("s", ()),
@@ -86,7 +86,7 @@ def layer_metrics(data: dict, missing: set, run_s: float, workers: int,
     traced wall time of the top-level call; manifest_wall_s sums the
     `wall_clock_seconds` of every run manifest the call wrote.
     """
-    spans, pairs, groups, counters = (data[k] for k in ("spans", "pairs", "groups", "counters"))
+    spans, groups, counters = (data[k] for k in ("spans", "groups", "counters"))
 
     def calls(*names):
         return sum(spans[n][0] for n in names if n in spans)
@@ -106,7 +106,7 @@ def layer_metrics(data: dict, missing: set, run_s: float, workers: int,
         "stepper.newton_s": total("stepper.newton_step"),
         "stepper.newton_iters": counters.get("newton_iters", 0),
         "stepper.picard_s": total("stepper.fixed_point_step")
-        - pairs.get("stepper.fixed_point_step>stepper.newton_step", 0.0),
+        - counters.get("newton_in_picard_s", 0.0),
         "stepper.picard_iters": counters.get("picard_iters", 0),
         "stepper.newton_fallback_ratio": counters.get("newton_fallbacks", 0) / max(len(steps), 1),
         "linalg.spsolve_calls": calls("linalg.spsolve"),
@@ -129,7 +129,7 @@ def layer_metrics(data: dict, missing: set, run_s: float, workers: int,
         "grid.snapshot_read_s": groups.get("grid.snapshot_read", 0.0),
         "estimates.reports_s": groups.get("estimates.reports", 0.0),
         "estimates.monitors_s": groups.get("estimates.monitors", 0.0),
-        "experiment.self_s": spans.get("experiment.run_experiment", (0, 0.0, 0.0))[2],
+        "experiment.self_s": counters.get("run_experiment_self_s", 0.0),
         "experiment.sweep_efficiency": manifest_wall_s / capacity_s,
     }
     return {

@@ -1,6 +1,6 @@
 """crystalflow benchmark: end-to-end metrics untraced, per-layer metrics traced.
 
-    python3 perfbench/run.py --workload solve2d-65 --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload solve2d-65 --seed 1 --seconds 40 --trace 0
     python3 perfbench/run.py --smoke
 
 Closed loop, one client: samples run back to back, each in a fresh
@@ -8,9 +8,13 @@ interpreter (as every `crystalflow run` is), until --seconds have passed.
 Every sample must pass the correctness gate (see README.md); one that does
 not counts as a failed operation. The result is the median over samples.
 
-With --trace 1, traced and untraced samples alternate: the traced ones give
-the per-layer metrics, the untraced ones the verify time (cli.verify_s), and
-the difference between the two medians of run_s is the tracing overhead.
+With --trace 0, set-up-only samples are interleaved with the workload
+samples and take about SETUP_SHARE of the run, so that the setup_s median
+rests on several times more samples than run_s. With --trace 1, traced and
+untraced workload samples alternate: the traced ones give the per-layer
+metrics, the untraced ones the verify time (cli.verify_s; 0 on workloads
+that do not verify), and the difference between the two medians of run_s is the
+tracing overhead.
 
 The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics.
@@ -32,12 +36,15 @@ import time
 from pathlib import Path
 
 from metrics import END_TO_END, PER_LAYER
+from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK_PARENT = ROOT / ".perfbench_work"
 MAIN_WORKLOADS = ("solve2d-65", "audit1d-65", "sweep2d-33")
+# share of an untraced run's sample time spent in set-up-only samples
+SETUP_SHARE = 0.3
 # a run must end within 180 s, so a stuck sample is killed before that
 RUN_LIMIT_S = 170
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -94,25 +101,36 @@ def environment(workers: int, blas_threads: int, versions: dict) -> dict:
 
 def measure(workload: str, seed: int, seconds: float, trace: bool, workers: int,
             env) -> list[tuple]:
-    """Run samples until `seconds` have passed; return (traced, result, stderr) each."""
+    """Run samples until `seconds` have passed; return (kind, result, stderr)
+    each, kind being "run", "traced" or "setup"."""
     samples = []
+    spent = {"setup": 0.0, "workload": 0.0}
     WORK_PARENT.mkdir(exist_ok=True)
     start = time.perf_counter()
-    i = 0
+    runs = 0
     while True:
-        traced = trace and i % 2 == 0
-        work = tempfile.mkdtemp(prefix=f"{workload}-", dir=WORK_PARENT)
-        cmd = [sys.executable, str(HERE / "sample.py"), "run", "--workload", workload,
-               "--seed", str(seed), "--work", work, "--workers", str(workers),
-               "--trace", str(int(traced))]
-        timeout_s = max(5.0, RUN_LIMIT_S - (time.perf_counter() - start))
+        work = None
+        if not trace and spent["setup"] < SETUP_SHARE / (1 - SETUP_SHARE) * spent["workload"]:
+            kind = "setup"
+            cmd = [sys.executable, str(HERE / "sample.py"), "setup", "--workload", workload,
+                   "--seed", str(seed)]
+        else:
+            kind = "traced" if trace and runs % 2 == 0 else "run"
+            runs += 1
+            work = tempfile.mkdtemp(prefix=f"{workload}-", dir=WORK_PARENT)
+            cmd = [sys.executable, str(HERE / "sample.py"), "run", "--workload", workload,
+                   "--seed", str(seed), "--work", work, "--workers", str(workers),
+                   "--trace", str(int(kind == "traced"))]
+        t0 = time.perf_counter()
+        timeout_s = max(5.0, RUN_LIMIT_S - (t0 - start))
         try:
             result, err = run_child(cmd, env, timeout_s)
         finally:
-            shutil.rmtree(work, ignore_errors=True)
-        samples.append((traced, result, err))
-        i += 1
-        enough = i >= (2 if trace else 1)
+            if work is not None:
+                shutil.rmtree(work, ignore_errors=True)
+        spent["setup" if kind == "setup" else "workload"] += time.perf_counter() - t0
+        samples.append((kind, result, err))
+        enough = runs >= (2 if trace else 1)
         if enough and time.perf_counter() - start >= seconds:
             return samples
 
@@ -122,36 +140,38 @@ def median_of(results, key):
     return statistics.median(values) if values else None
 
 
-def summarize(samples, trace: bool) -> tuple[dict, int]:
+def summarize(samples, trace: bool, verifies: bool) -> tuple[dict, int]:
     """Metrics (name -> {value, unit}) and the number of failed samples."""
     failed = 0
-    for traced, result, err in samples:
+    for kind, result, err in samples:
         if result is None or not result["ok"]:
             failed += 1
             reason = err if result is None else "; ".join(result["errors"])
-            print(f"sample failed ({'traced' if traced else 'untraced'}): {reason}",
-                  file=sys.stderr)
-    passed = [(t, r) for t, r, _ in samples if r is not None and r["ok"]]
+            print(f"sample failed ({kind}): {reason}", file=sys.stderr)
+    passed = [(k, r) for k, r, _ in samples if r is not None and r["ok"]]
     absent = sorted({h for _, r in passed for h in r.get("absent_hooks", [])})
     if absent:
         print(f"functions missing, their metrics are absent: {absent}", file=sys.stderr)
-    untraced = [r for t, r in passed if not t]
+    untraced = [r for k, r in passed if k == "run"]
     metrics = {}
     if not trace:
+        # set-up is timed the same way in workload and set-up-only samples
+        sources = {"setup_s": [r for k, r in passed if k in ("run", "setup")]}
         for name, unit in END_TO_END.items():
-            value = median_of(untraced, name)
+            value = median_of(sources.get(name, untraced), name)
             if value is not None:
                 metrics[name] = {"value": value, "unit": unit}
         return metrics, failed
-    traced = [r["layers"] for t, r in passed if t]
+    traced = [r for k, r in passed if k == "traced"]
     for name, (unit, _) in PER_LAYER.items():
-        value = median_of(traced, name)
+        value = median_of([r["layers"] for r in traced], name)
         if value is not None:
             metrics[name] = {"value": value, "unit": unit}
-    verify_s = median_of(untraced, "verify_s")
+    # a workload that keeps no snapshots spends no time in crystalflow verify
+    verify_s = median_of(untraced, "verify_s") if verifies else 0.0
     if verify_s is not None:
         metrics["cli.verify_s"] = {"value": verify_s, "unit": "s"}
-    traced_run = median_of([r for t, r in passed if t], "run_s")
+    traced_run = median_of(traced, "run_s")
     untraced_run = median_of(untraced, "run_s")
     if traced_run is not None and untraced_run is not None:
         metrics["trace.run_s"] = {"value": traced_run, "unit": "s"}
@@ -203,7 +223,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=MAIN_WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--tiny", action="store_true",
                         help="run the workload's tiny twin (what --smoke uses)")
@@ -236,11 +256,13 @@ def main(argv=None) -> int:
     env.update({var: str(args.blas_threads) for var in BLAS_THREAD_VARS})
     env.pop("PYTHONPATH", None)
     samples = measure(workload, args.seed, args.seconds, bool(args.trace), workers, env)
-    metrics, failed = summarize(samples, bool(args.trace))
+    metrics, failed = summarize(samples, bool(args.trace), WORKLOADS[workload].verify)
 
-    versions = next((r["versions"] for _, r, _ in samples if r is not None), {})
+    versions = next((r["versions"] for _, r, _ in samples if r and "versions" in r), {})
     print("environment: " + json.dumps(environment(workers, args.blas_threads, versions)))
-    print(f"workload {workload}: {len(samples)} samples, {failed} failed")
+    setups = sum(kind == "setup" for kind, _, _ in samples)
+    print(f"workload {workload}: {len(samples)} samples ({setups} set-up only), "
+          f"{failed} failed")
     for name, metric in metrics.items():
         print(f"  {name} = {metric['value']:.6g} {metric['unit']}")
     print(json.dumps({

@@ -2,13 +2,14 @@
 
     python3 perfbench/sample.py run --workload NAME --seed N --work DIR
                                     --workers W --trace 0|1
+    python3 perfbench/sample.py setup --workload NAME --seed N
     python3 perfbench/sample.py verify --work DIR --trace 0|1
 
 `run` times set-up (import of crystalflow, parse_config,
 build_initial_field) and the workload's top-level call, checks the
-outputs, and then verifies: through `crystalflow verify` in a child
-`verify` sample when the workload keeps snapshots, otherwise by
-re-checking the reports of the in-memory trajectories. The last line of
+outputs, and on workloads that keep snapshots runs `crystalflow verify`
+in a child `verify` sample. `setup` times set-up alone, so that a run can
+take many more set-up samples than workload samples. The last line of
 standard output is one JSON object.
 
 Only the standard library and this directory's stdlib-only modules are
@@ -63,15 +64,38 @@ def sweep_diffs_shrink(summary: Path) -> str | None:
     return None
 
 
-def run_sample(args) -> dict:
+def timed_setup(w, seed: int, trace: bool = False):
+    """Import crystalflow, parse the workload's config and build its initial
+    field; return (crystalflow, config, field, tracer or None, seconds).
+
+    With trace, the hooks go in right after the import, so that the config
+    layer is traced too.
+    """
     t0 = time.perf_counter()
     cf = import_crystalflow()
-    tracer = tracing.install() if args.trace else None
+    tracer = tracing.install() if trace else None
+    cfg = cf.parse_config(w.config_text(seed, "run"))
+    u0 = cf.build_initial_field(cfg)
+    return cf, cfg, u0, tracer, time.perf_counter() - t0
+
+
+def setup_sample(args) -> dict:
+    w = WORKLOADS[args.workload]
+    _, _, u0, _, setup_s = timed_setup(w, args.seed)
+    import numpy as np
+
+    expected = w.nodes ** w.dim
+    errors = []
+    if u0.values.size != expected or not np.isfinite(u0.values).all():
+        errors.append(f"initial field has {u0.values.size} values (expected {expected}) "
+                      "or non-finite ones")
+    return {"ok": not errors, "errors": errors, "setup_s": setup_s}
+
+
+def run_sample(args) -> dict:
     w = WORKLOADS[args.workload]
     work = Path(args.work)
-    cfg = cf.parse_config(w.config_text(args.seed, "run"))
-    cf.build_initial_field(cfg)
-    setup_s = time.perf_counter() - t0
+    cf, cfg, _, tracer, setup_s = timed_setup(w, args.seed, bool(args.trace))
 
     t1 = time.perf_counter()
     if w.sweep_taus:
@@ -84,6 +108,7 @@ def run_sample(args) -> dict:
     errors = check_outputs(w, results, work / "run")
 
     child_trace = None
+    verify_s = None
     if w.verify:
         verified = verify_in_child(work / "run", bool(args.trace))
         verify_s = verified["verify_s"]
@@ -91,14 +116,6 @@ def run_sample(args) -> dict:
         if verified["rc"] != 0:
             errors.append(f"crystalflow verify exited with {verified['rc']}: "
                           f"{verified.get('error', '')}")
-    else:
-        t2 = time.perf_counter()
-        reports = [rep for r in results if r.trajectory is not None
-                   for rep in cf.standard_reports(r.trajectory)]
-        verify_s = time.perf_counter() - t2
-        failed = [rep.name for rep in reports if not rep.passed]
-        if failed or not reports:
-            errors.append(f"re-checked reports failed: {failed or 'none computed'}")
 
     import numpy
     import scipy
@@ -108,11 +125,12 @@ def run_sample(args) -> dict:
         "errors": errors,
         "setup_s": setup_s,
         "run_s": run_s,
-        "verify_s": verify_s,
         "peak_rss_mb": peak_rss_mb(),
         "versions": {"python": sys.version.split()[0], "numpy": numpy.__version__,
                      "scipy": scipy.__version__},
     }
+    if verify_s is not None:
+        out["verify_s"] = verify_s
     if tracer is not None:
         out["layers"], layer_errors = traced_layers(tracer, child_trace, results, w, run_s,
                                                     args.workers)
@@ -185,7 +203,7 @@ def traced_layers(tracer, child_trace, results, w, run_s, workers) -> tuple[dict
     layers = layer_metrics(data, tracer.missing, run_s, pool, manifest_wall_s)
     errors = [
         f"traced layer {layer} recorded zero calls"
-        for layer in active_layers(w)
+        for layer in active_layers(w, tracer.missing)
         if layer_calls(data, layer) == 0
     ]
     return layers, errors
@@ -193,14 +211,15 @@ def traced_layers(tracer, child_trace, results, w, run_s, workers) -> tuple[dict
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("phase", choices=("run", "verify"))
+    parser.add_argument("phase", choices=("run", "setup", "verify"))
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--work", required=True)
+    parser.add_argument("--work")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    result = run_sample(args) if args.phase == "run" else verify_sample(args)
+    phases = {"run": run_sample, "setup": setup_sample, "verify": verify_sample}
+    result = phases[args.phase](args)
     print(json.dumps(result))
     return 0
 

@@ -6,11 +6,12 @@ module-level dicts such as `experiment._REPORT_FUNCS`), plus the scipy
 entry points the solver layers call through module attributes. Nothing
 under `src/` is edited.
 
-A span records its duration, its self time (duration minus the time its
-direct child spans cover) and its direct parent. Spans of one group that
-nest inside each other are counted once in the group total, so a layer's
-time is never counted twice (`standard_reports` calling `verify_prop31`,
-`newton_step` nested in `fixed_point_step`).
+A span records its calls and total time. Spans of one group that nest
+inside each other are counted once in the group total, so a layer's time is
+never counted twice (`standard_reports` calling `verify_prop31`,
+`newton_step` nested in `fixed_point_step`). Two nestings are also kept as
+counters: the time of `newton_step` directly inside `fixed_point_step`, and
+the self time of `run_experiment` (its time outside its direct child spans).
 
 Pool workers forked by `experiment.sweep` inherit the hooks. There the
 `run_experiment` hook starts fresh statistics per task and attaches them to
@@ -31,7 +32,6 @@ HOOKS = [
     ("crystalflow.config", "parse_config", "config.parse_config", "config.parse"),
     ("crystalflow.config", "build_initial_field", "config.build_initial_field",
      "config.initial_field"),
-    ("crystalflow.stepper", "run", "stepper.run", "stepper.run"),
     ("crystalflow.stepper", "fixed_point_step", "stepper.fixed_point_step", "stepper.step"),
     ("crystalflow.stepper", "newton_step", "stepper.newton_step", "stepper.step"),
     ("scipy.sparse.linalg", "spsolve", "linalg.spsolve", "linalg.spsolve"),
@@ -52,17 +52,17 @@ HOOKS = [
     ("crystalflow.estimates", "verify_prop31", "estimates.verify_prop31", "estimates.reports"),
     ("crystalflow.estimates", "verify_prop32", "estimates.verify_prop32", "estimates.reports"),
     ("crystalflow.estimates", "verify_prop33", "estimates.verify_prop33", "estimates.reports"),
-    ("crystalflow.estimates", "p_variant_energy", "estimates.p_variant_energy",
-     "estimates.reports"),
     ("crystalflow.estimates", "standard_reports", "estimates.standard_reports",
      "estimates.reports"),
     ("crystalflow.estimates", "continuum_monitors", "estimates.continuum_monitors",
      "estimates.monitors"),
     ("crystalflow.experiment", "run_experiment", "experiment.run_experiment", "experiment.run"),
-    ("crystalflow.experiment", "sweep", "experiment.sweep", "experiment.sweep"),
 ]
 
 STEP_GROUP = "stepper.step"
+PICARD_SPAN = "stepper.fixed_point_step"
+NEWTON_SPAN = "stepper.newton_step"
+RUN_SPAN = "experiment.run_experiment"
 
 
 class Tracer:
@@ -75,10 +75,9 @@ class Tracer:
 
     def reset(self):
         self.pid = os.getpid()
-        self.stack: list[list] = []  # [span name, time in direct children]
+        self.stack: list[list] = []  # [span name, time in direct child spans]
         self.depth: dict[str, int] = {}
-        self.spans: dict[str, list] = {}  # name -> [calls, total s, self s]
-        self.pairs: dict[str, float] = {}  # "parent>child" -> s in direct child
+        self.spans: dict[str, list] = {}  # name -> [calls, total s]
         self.groups: dict[str, float] = {}  # group -> s, outermost spans only
         self.step_s: list[float] = []
         self.counters: dict[str, float] = {}
@@ -97,15 +96,16 @@ class Tracer:
             dur = time.perf_counter() - start
             self.stack.pop()
             self.depth[group] -= 1
-            st = self.spans.setdefault(name, [0, 0.0, 0.0])
+            st = self.spans.setdefault(name, [0, 0.0])
             st[0] += 1
             st[1] += dur
-            st[2] += dur - frame[1]
+            if name == RUN_SPAN:
+                self.count("run_experiment_self_s", dur - frame[1])
             if self.stack:
                 parent = self.stack[-1]
                 parent[1] += dur
-                key = f"{parent[0]}>{name}"
-                self.pairs[key] = self.pairs.get(key, 0.0) + dur
+                if name == NEWTON_SPAN and parent[0] == PICARD_SPAN:
+                    self.count("newton_in_picard_s", dur)
             if self.depth[group] == 0:
                 self.groups[group] = self.groups.get(group, 0.0) + dur
                 if group == STEP_GROUP:
@@ -126,7 +126,6 @@ class Tracer:
     def export(self) -> dict:
         return {
             "spans": self.spans,
-            "pairs": self.pairs,
             "groups": self.groups,
             "step_s": self.step_s,
             "counters": self.counters,
@@ -135,12 +134,11 @@ class Tracer:
     def merge(self, data: dict | None):
         if not data:
             return
-        for name, (calls, total, self_s) in data["spans"].items():
-            st = self.spans.setdefault(name, [0, 0.0, 0.0])
+        for name, (calls, total) in data["spans"].items():
+            st = self.spans.setdefault(name, [0, 0.0])
             st[0] += calls
             st[1] += total
-            st[2] += self_s
-        for table in ("pairs", "groups", "counters"):
+        for table in ("groups", "counters"):
             mine = getattr(self, table)
             for key, value in data[table].items():
                 mine[key] = mine.get(key, 0) + value

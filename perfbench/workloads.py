@@ -89,14 +89,20 @@ WORKLOADS = {
     )
 }
 
-# elliptic is not required: only the fixed-point path and the Helmholtz
-# factor call it, while the Newton step assembles its Jacobian itself.
 REQUIRED_LAYERS = ("config", "stepper", "linalg", "nonlinearity", "estimates", "experiment")
 
 
-def active_layers(w: Workload) -> tuple:
-    """Layers that must record calls; grid only does snapshot I/O."""
-    return REQUIRED_LAYERS + (("grid",) if w.snapshot_stride > 0 else ())
+def active_layers(w: Workload, missing: set) -> tuple:
+    """Layers that must record calls on w, given the hooks whose functions
+    are missing. grid only does snapshot I/O; elliptic is reached through
+    fixed_point_step (the Helmholtz factor and the weighted operator), so it
+    is required while that function exists."""
+    layers = REQUIRED_LAYERS
+    if "stepper.fixed_point_step" not in missing:
+        layers += ("elliptic",)
+    if w.snapshot_stride > 0:
+        layers += ("grid",)
+    return layers
 
 
 def reference_keys(w: Workload) -> list[str]:
