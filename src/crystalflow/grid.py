@@ -124,13 +124,19 @@ class Field:
         return f"Field(grid={self.grid.nodes}, |values|_inf={np.abs(self.values).max():.3g})"
 
 
-@lru_cache(maxsize=32)
-def _quad_weights(grid: Grid) -> np.ndarray:
+def _axis_weights(grid: Grid) -> list[np.ndarray]:
+    """Trapezoid weights along each axis; their outer product is quad_weights()."""
     per_axis = []
     for h, n in zip(grid.spacing, grid.nodes):
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
         per_axis.append(w)
+    return per_axis
+
+
+@lru_cache(maxsize=32)
+def _quad_weights(grid: Grid) -> np.ndarray:
+    per_axis = _axis_weights(grid)
     if grid.dim == 1:
         w = per_axis[0]
     else:
@@ -195,21 +201,12 @@ def grad_sq_integral(f: Field) -> float:
     hx, hy = grid.spacing
     v = f.shaped()
     # x-edges carry trapezoid weight in y and vice versa
-    wy = _axis_trapezoid(grid, 1)
-    wx = _axis_trapezoid(grid, 0)
+    wx, wy = _axis_weights(grid)
     dx = np.diff(v, axis=0)
     dy = np.diff(v, axis=1)
     sx = np.sum((dx * dx) @ wy) / hx
     sy = np.sum(wx @ (dy * dy)) / hy
     return float(sx + sy)
-
-
-def _axis_trapezoid(grid: Grid, axis: int) -> np.ndarray:
-    h = grid.spacing[axis]
-    n = grid.nodes[axis]
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2
-    return w
 
 
 def p_flux(s: np.ndarray, p: float) -> np.ndarray:

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from crystalflow import stepper
 from crystalflow.config import _random_smooth
 from crystalflow.elliptic import solve_helmholtz_neumann
 from crystalflow.exceptions import OverflowCapError, StepFailure
-from crystalflow.grid import Field, Grid, integrate, p_laplacian_jacobian_1d
+from crystalflow.grid import (
+    Field,
+    Grid,
+    integrate,
+    laplacian_matrix,
+    p_laplacian_jacobian_1d,
+)
 from crystalflow.nonlinearity import exp_variant, make_variant, sinh_variant
 from crystalflow.stepper import (
     SchemeParams,
@@ -195,6 +202,12 @@ class TestInnerExponentSolve:
         assert exc.value.residual == hist[-1] > self.tol
 
 
+def _tail_slopes(hist):
+    """log-ratio contraction orders of the last two Newton iterations,
+    taken where the residual is already below 1e-2 (the test_quadratic_tail rule)."""
+    return [np.log(b) / np.log(a) for a, b in zip(hist[-3:-1], hist[-2:]) if a < 1e-2]
+
+
 class TestNewtonStep:
     def test_constant_mode(self, grid1d):
         params = SchemeParams(tau=0.5, horizon=1.0)
@@ -225,6 +238,58 @@ class TestNewtonStep:
             if a < 1e-2
         ]
         assert slopes and min(slopes) >= 1.8
+
+    def test_quadratic_tail_2d(self):
+        """The 2-D tail contracts at least quadratically down to round-off."""
+        grid = Grid(2, (1.0, 1.0), (33, 33))
+        params = SchemeParams(tau=1e-3, horizon=0.01)
+        v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        w_guess = init_w0(v, params)
+        u_guess, _ = solve_helmholtz_neumann(grid, params.reg_weight, w_guess)
+        u, w, diag = newton_step(v, params, (u_guess, w_guess))
+        assert diag.residual_inf <= params.picard_tol
+        # here the last iterate lands below one unit of round-off of the
+        # coupled residual, eps * (||J|| ||(u, w)|| + ||v/tau||), where no
+        # contraction rate is defined, so that is the cut-off in place of 1e-14
+        n, tau = grid.num_nodes, params.tau
+        lap = laplacian_matrix(grid)
+        eye = sp.identity(n)
+        jac = sp.bmat(
+            [[eye / tau, -lap @ sp.diags(np.cosh(w.values)) + tau * eye], [-lap + tau * eye, -eye]]
+        )
+        scale = spla.norm(jac, np.inf) * max(np.abs(u.values).max(), np.abs(w.values).max())
+        floor = np.finfo(float).eps * (scale + np.abs(v.values).max() / tau)
+        slopes = _tail_slopes([r for r in diag.residual_history if r > floor])
+        assert slopes and min(slopes) >= 1.8
+
+    def test_p_variant(self, grid1d):
+        """Newton called directly on the p = 3 variant, whose u-block is the
+        p-Laplacian Jacobian, converges with a quadratic tail."""
+        params = SchemeParams(tau=0.01, horizon=0.1)
+        variant = make_variant("p_exponent", p=3.0)
+        v = Field.from_function(grid1d, lambda x: 0.1 * np.cos(np.pi * x))
+        u, w, diag = newton_step(v, params, (v, init_w0(v, params, variant)), variant)
+        assert diag.newton_used
+        assert diag.residual_inf <= params.picard_tol
+        res = stepper._step_residual(
+            grid1d, params.tau, params.reg_weight, v.values, u.values, w.values, variant, 700.0
+        )
+        assert res <= params.picard_tol
+        slopes = _tail_slopes(diag.residual_history)
+        assert slopes and min(slopes) >= 1.8
+
+    def test_stagnation_reports_residual_and_step(self, grid1d):
+        # no iterate can reach this tolerance, so the line search stalls at round-off
+        params = SchemeParams(tau=0.01, horizon=0.1, picard_tol=1e-300)
+        v = _random_smooth(grid1d, 0.3, seed=14)
+        w_guess = init_w0(v, params)
+        u_guess, _ = solve_helmholtz_neumann(grid1d, params.reg_weight, w_guess)
+        with pytest.raises(
+            StepFailure,
+            match=r"^Newton line search stagnated: residual \S+, smallest step tried \S+$",
+        ) as exc:
+            newton_step(v, params, (u_guess, w_guess))
+        assert f"residual {exc.value.residual:.3e}," in str(exc.value)
 
     def test_agrees_with_fixed_point(self, grid1d):
         params = SchemeParams(tau=0.01, horizon=0.1)
