@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from crystalflow import stepper
+from crystalflow import elliptic, stepper
 from crystalflow.config import _random_smooth
 from crystalflow.elliptic import solve_helmholtz_neumann
 from crystalflow.exceptions import OverflowCapError, StepFailure
@@ -261,6 +261,62 @@ class TestNewtonStep:
         floor = np.finfo(float).eps * (scale + np.abs(v.values).max() / tau)
         slopes = _tail_slopes([r for r in diag.residual_history if r > floor])
         assert slopes and min(slopes) >= 1.8
+
+    def test_symmetric_mode_factor_on_step_one(self, monkeypatch):
+        """The step-1 Newton systems of a 65 x 65 cosine start: one fresh
+        factor per iteration, less fill than the same ordering with partial
+        pivoting, and the solutions of spsolve under that ordering."""
+        grid = Grid(2, (1.0, 1.0), (65, 65))
+        params = SchemeParams(tau=1e-3, horizon=0.01)
+        v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        systems = []
+
+        class RecordedFactor:
+            def __init__(self, mat):
+                self.mat, self.lu = mat, elliptic.lu_factor(mat)
+
+            def solve(self, rhs):
+                systems.append((self.mat, self.lu, rhs))
+                return self.lu.solve(rhs)
+
+        def recording_newton_step(*args, **kwargs):
+            monkeypatch.setattr(stepper, "lu_factor", RecordedFactor)
+            return newton_step(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "newton_step", recording_newton_step)
+        _, _, diag = fixed_point_step(v, params, init_w0(v, params))
+        assert diag.newton_used
+        assert len(systems) == len(diag.residual_history) - 1 > 0
+
+        schur, lu, _ = systems[0]
+        partial = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert lu.L.nnz + lu.U.nnz < partial.L.nnz + partial.U.nnz
+        for schur, lu, rhs in systems:
+            ref = spla.spsolve(schur.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
+            assert np.abs(lu.solve(rhs) - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_pinned_iteration_counts_2d(self, monkeypatch):
+        """Five chained steps on 33 x 33 (cosine amplitude 0.5, tau 1e-3) take
+        the Newton iterations of the partial-pivoting solve, one factor each."""
+        grid = Grid(2, (1.0, 1.0), (33, 33))
+        params = SchemeParams(tau=1e-3, horizon=0.005)
+        v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        w = init_w0(v, params)
+        factors = []
+
+        def counting_factor(mat):
+            factors.append(mat.shape)
+            return elliptic.lu_factor(mat)
+
+        monkeypatch.setattr(stepper, "lu_factor", counting_factor)
+        iters, num_factors = [], []
+        for _ in range(5):
+            factors.clear()
+            v, w, diag = newton_step(v, params, (v, w))
+            iters.append(len(diag.residual_history) - 1)
+            num_factors.append(len(factors))
+        assert iters == [12, 5, 5, 4, 4]
+        assert num_factors == iters
 
     def test_p_variant(self, grid1d):
         """Newton called directly on the p = 3 variant, whose u-block is the
