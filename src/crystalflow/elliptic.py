@@ -3,6 +3,9 @@
 Both systems are symmetric positive definite: the zero-order shift tau > 0
 removes the constant kernel of the Neumann operator, and the diffusion
 weight (the cosh coefficient of the weighted problem) is bounded below.
+Both operators come from grid.divergence_matrix, the weighted one with the
+arithmetic means of the weight on the edges, so at unit weight the two
+matrices agree entry for entry in any dimension.
 The default backend is a sparse LU factorization through lu_factor, the
 one factorization policy of the package; a Jacobi-preconditioned conjugate
 gradient backend is available behind the same contract. Either way the
@@ -19,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import InvalidCoefficientError, SolverFailure
-from .grid import Field, Grid, laplacian_matrix, weighted_divergence_matrix_1d
+from .grid import Field, Grid, divergence_matrix, laplacian_matrix
 
 __all__ = [
     "SolveDiagnostics",
@@ -72,11 +75,7 @@ def lu_factor(M: sp.spmatrix):
 
 
 def _half_node_means(c: np.ndarray, axis: int) -> np.ndarray:
-    lo = [slice(None)] * c.ndim
-    hi = [slice(None)] * c.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (c[tuple(lo)] + c[tuple(hi)])
+    return 0.5 * (np.delete(c, -1, axis) + np.delete(c, 0, axis))
 
 
 def weighted_divergence_matrix(grid: Grid, c: Field) -> sp.csr_matrix:
@@ -85,45 +84,8 @@ def weighted_divergence_matrix(grid: Grid, c: Field) -> sp.csr_matrix:
     The arithmetic mean keeps the operator symmetric under the trapezoid
     quadrature weights, which the discrete energy identity tests rely on.
     """
-    if grid.dim == 1:
-        half = _half_node_means(c.values, 0)
-        return weighted_divergence_matrix_1d(grid, half)
-
-    nx, ny = grid.nodes
     cs = c.shaped()
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    flat = (ii * ny + jj).astype(np.int64)
-    rows, cols, vals = [], [], []
-
-    for axis, h in enumerate(grid.spacing):
-        half = _half_node_means(cs, axis)  # one coefficient per edge along axis
-        nline = grid.nodes[axis]
-        idx_along = ii if axis == 0 else jj
-        if axis == 0:
-            lo, hi = flat[:-1, :], flat[1:, :]
-            pos_lo, pos_hi = idx_along[:-1, :], idx_along[1:, :]
-        else:
-            lo, hi = flat[:, :-1], flat[:, 1:]
-            pos_lo, pos_hi = idx_along[:, :-1], idx_along[:, 1:]
-        # boundary control volumes have half width, doubling the flux scale
-        scale_lo = np.where(pos_lo == 0, 2.0, 1.0) / h**2
-        scale_hi = np.where(pos_hi == nline - 1, 2.0, 1.0) / h**2
-        for r, cc, v in (
-            (lo, hi, half * scale_lo),
-            (lo, lo, -half * scale_lo),
-            (hi, lo, half * scale_hi),
-            (hi, hi, -half * scale_hi),
-        ):
-            rows.append(r.reshape(-1))
-            cols.append(cc.reshape(-1))
-            vals.append(v.reshape(-1))
-
-    n = grid.num_nodes
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+    return divergence_matrix(grid, [_half_node_means(cs, a) for a in range(grid.dim)])
 
 
 def weighted_helmholtz_matrix(grid: Grid, tau: float, c: Field) -> sp.csr_matrix:

@@ -66,6 +66,10 @@ class OverflowCapError(CrystalflowError):
         self.step_index = step_index
 
 
+class SnapshotFormatError(CrystalflowError, ValueError):
+    """A field snapshot file does not follow the snapshot format."""
+
+
 class ConfigError(CrystalflowError):
     """Experiment configuration is invalid.
 

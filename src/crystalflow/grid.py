@@ -6,18 +6,26 @@ keeps the discrete Laplacian symmetric with respect to the trapezoid
 quadrature inner product and makes summation-by-parts exact. Those two
 properties are what the discrete energy inequalities rely on, so they are
 treated as hard invariants here and property-tested in the suite.
+
+Every operator of the form div(c grad .) -- the Laplacian, the weighted
+operator of the fixed-point map and the p-Laplacian Jacobian -- comes from
+one per-axis assembly, divergence_matrix, as summation-by-parts operators
+in several dimensions are built (Strand, J. Comput. Phys. 110, 1994). It
+emits each edge's four entries in a fixed order, and the CSR conversion sums
+duplicates in that order; keeping the order keeps every matrix, and so
+every stored CSV, bitwise stable.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import InvalidExponentError, UnsupportedDimensionError
+from .exceptions import InvalidExponentError, SnapshotFormatError, UnsupportedDimensionError
 
 __all__ = [
     "Grid",
@@ -81,8 +89,6 @@ class Grid:
     def coords(self) -> tuple[np.ndarray, ...]:
         """Node coordinate arrays shaped like the grid (meshgrid, 'ij')."""
         axes = [self.axis_coords(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def quad_weights(self) -> np.ndarray:
@@ -136,37 +142,42 @@ def _axis_weights(grid: Grid) -> list[np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _quad_weights(grid: Grid) -> np.ndarray:
-    per_axis = _axis_weights(grid)
-    if grid.dim == 1:
-        w = per_axis[0]
-    else:
-        w = np.outer(per_axis[0], per_axis[1]).reshape(-1)
+    w = reduce(np.outer, _axis_weights(grid)).reshape(-1)
     w.flags.writeable = False
     return w
 
 
-def _lap_1d_matrix(n: int, h: float) -> sp.csr_matrix:
-    # Standard 3-point stencil; mirror ghost at both ends doubles the
-    # off-diagonal entry, which is what makes the row sum to zero and the
-    # weighted matrix symmetric.
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    lap = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap[0, 1] = 2.0
-    lap[n - 1, n - 2] = 2.0
-    return (lap * (1.0 / h**2)).tocsr()
+def divergence_matrix(grid: Grid, edge_coeffs) -> sp.csr_matrix:
+    """div(c grad .) with zero-flux boundaries, c given on the edges.
+
+    edge_coeffs holds one coefficient array per axis, shaped like the grid
+    with that axis one node shorter; a scalar stands for a constant
+    coefficient. Each edge adds its flux to the row of its low node and
+    subtracts it from the row of its high node, entered as (lo, hi),
+    (lo, lo), (hi, lo), (hi, hi).
+    """
+    index = np.arange(grid.num_nodes).reshape(grid.nodes)
+    rows, cols, vals = [], [], []
+    for axis, (h, n, c) in enumerate(zip(grid.spacing, grid.nodes, edge_coeffs)):
+        lo, hi = np.delete(index, -1, axis), np.delete(index, 0, axis)
+        c = np.broadcast_to(np.asarray(c, dtype=float), lo.shape)
+        # the first edge starts and the last edge ends on the boundary, whose
+        # control volumes have half width, doubling the flux scale
+        edge = np.indices(lo.shape, sparse=True)[axis]
+        scale_lo = np.where(edge == 0, 2.0, 1.0) / h**2
+        scale_hi = np.where(edge == n - 2, 2.0, 1.0) / h**2
+        rows += [lo, lo, hi, hi]
+        cols += [hi, lo, lo, hi]
+        vals += [c * scale_lo, -c * scale_lo, c * scale_hi, -c * scale_hi]
+
+    vals, rows, cols = (np.concatenate([a.reshape(-1) for a in x]) for x in (vals, rows, cols))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.num_nodes,) * 2).tocsr()
 
 
 @lru_cache(maxsize=32)
 def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
     """Sparse Neumann Laplacian acting on flattened row-major fields."""
-    if grid.dim == 1:
-        return _lap_1d_matrix(grid.nodes[0], grid.spacing[0])
-    lx = _lap_1d_matrix(grid.nodes[0], grid.spacing[0])
-    ly = _lap_1d_matrix(grid.nodes[1], grid.spacing[1])
-    ix = sp.identity(grid.nodes[0], format="csr")
-    iy = sp.identity(grid.nodes[1], format="csr")
-    return (sp.kron(lx, iy) + sp.kron(ix, ly)).tocsr()
+    return divergence_matrix(grid, [1.0] * grid.dim)
 
 
 def laplacian_neumann(f: Field) -> Field:
@@ -194,19 +205,22 @@ def grad_sq_integral(f: Field) -> float:
     the energy estimates telescope without consistency error.
     """
     grid = f.grid
-    if grid.dim == 1:
-        h = grid.spacing[0]
-        d = np.diff(f.values)
-        return float(np.sum(d * d) / h)
-    hx, hy = grid.spacing
+    weights = _axis_weights(grid)
     v = f.shaped()
-    # x-edges carry trapezoid weight in y and vice versa
-    wx, wy = _axis_weights(grid)
-    dx = np.diff(v, axis=0)
-    dy = np.diff(v, axis=1)
-    sx = np.sum((dx * dx) @ wy) / hx
-    sy = np.sum(wx @ (dy * dy)) / hy
-    return float(sx + sy)
+    total = 0.0
+    for axis, h in enumerate(grid.spacing):
+        d = np.diff(v, axis=axis)
+        e = d * d
+        # an edge along axis carries the trapezoid weight of every other
+        # axis. Contracting them last axis first, a later axis is always the
+        # last one left and an earlier one the second to last.
+        for other in reversed(range(grid.dim)):
+            if other > axis:
+                e = e @ weights[other]
+            elif other < axis:
+                e = weights[other] @ e
+        total += np.sum(e) / h
+    return float(total)
 
 
 def p_flux(s: np.ndarray, p: float) -> np.ndarray:
@@ -245,28 +259,7 @@ def p_laplacian_jacobian_1d(f: Field, p: float) -> sp.csr_matrix:
     h = f.grid.spacing[0]
     slope = np.diff(f.values) / h
     c = (p - 1.0) * np.abs(slope) ** (p - 2.0) if p > 2 else np.ones_like(slope)
-    return weighted_divergence_matrix_1d(f.grid, c)
-
-
-def weighted_divergence_matrix_1d(grid: Grid, half_node_coeff: np.ndarray) -> sp.csr_matrix:
-    """div(c grad .) with coefficients given directly on half-nodes (1-D)."""
-    n = grid.nodes[0]
-    h = grid.spacing[0]
-    c = np.asarray(half_node_coeff, dtype=float)
-    if c.size != n - 1:
-        raise ValueError(f"expected {n - 1} half-node coefficients, got {c.size}")
-    lower = np.empty(n - 1)
-    upper = np.empty(n - 1)
-    main = np.empty(n)
-    main[1:-1] = -(c[:-1] + c[1:]) / h**2
-    lower[:-1] = c[:-1] / h**2
-    upper[1:] = c[1:] / h**2
-    # boundary rows: control volume h/2, single interior flux
-    main[0] = -c[0] * 2.0 / h**2
-    upper[0] = c[0] * 2.0 / h**2
-    main[-1] = -c[-1] * 2.0 / h**2
-    lower[-1] = c[-1] * 2.0 / h**2
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    return divergence_matrix(f.grid, [c])
 
 
 # -- snapshot I/O -------------------------------------------------------------
@@ -282,17 +275,22 @@ def write_field(f: Field, stream: io.TextIOBase) -> None:
 
 
 def read_field(stream: io.TextIOBase) -> Field:
+    """Parse a snapshot; raises SnapshotFormatError on malformed content."""
+    source = getattr(stream, "name", "snapshot")
     header = stream.readline().strip()
     prefix = "# grid:"
     if not header.startswith(prefix):
-        raise ValueError(f"malformed snapshot header: {header!r}")
-    entries = dict(item.split("=", 1) for item in header[len(prefix):].split())
-    dim = int(entries["dim"])
-    nodes = tuple(int(n) for n in entries["nodes"].split(","))
-    extents = tuple(float(e) for e in entries["extent"].split(","))
-    grid = Grid(dim=dim, extents=extents, nodes=nodes)
-    values = np.array([float(line) for line in stream if line.strip()])
-    return Field(grid, values)
+        raise SnapshotFormatError(f"{source}: malformed snapshot header: {header!r}")
+    try:
+        entries = dict(item.split("=", 1) for item in header[len(prefix):].split())
+        dim = int(entries["dim"])
+        nodes = tuple(int(n) for n in entries["nodes"].split(","))
+        extents = tuple(float(e) for e in entries["extent"].split(","))
+        grid = Grid(dim=dim, extents=extents, nodes=nodes)
+        values = np.array([float(line) for line in stream if line.strip()])
+        return Field(grid, values)
+    except (KeyError, ValueError) as err:
+        raise SnapshotFormatError(f"{source}: malformed snapshot: {err!r}") from err
 
 
 def save_field(f: Field, path) -> None:

@@ -100,7 +100,6 @@ class StepDiagnostics:
     picard_iters: int
     newton_used: bool
     residual_inf: float
-    bootstrap_ratio: float = float("nan")
     residual_history: list = field(default_factory=list)
 
 
@@ -297,9 +296,7 @@ def fixed_point_step(
             residual_history=history,
         )
 
-    du_norm = np.abs((u - v.values) / tau).max()
-    ratio = tau_reg * np.abs(phi).max() / max(du_norm, np.finfo(float).tiny)
-    diag = StepDiagnostics(iters, False, res, ratio, history)
+    diag = StepDiagnostics(iters, False, res, history)
     return Field(grid, u), Field(grid, phi), diag
 
 
@@ -389,9 +386,7 @@ def newton_step(
 
     # the converged w must genuinely respect the cap, not just the trials
     variant.check_cap(w, cap)
-    du_norm = np.abs((u - v.values) / tau).max()
-    ratio = tau_reg * np.abs(w).max() / max(du_norm, np.finfo(float).tiny)
-    diag = StepDiagnostics(0, True, float(res), ratio, history)
+    diag = StepDiagnostics(0, True, float(res), history)
     return Field(grid, u), Field(grid, w), diag
 
 

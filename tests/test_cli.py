@@ -71,6 +71,15 @@ class TestVerifyCommand:
         assert out.startswith("name,lhs,rhs,margin,pass")
         assert out.count("true") == 3
 
+    def test_verify_rejects_corrupt_snapshot(self, config_path, tmp_path, capsys):
+        main(["--output-root", str(tmp_path), "run", config_path])
+        (tmp_path / "demo" / "fields" / "u_000002.csv").write_text(
+            "# grid: dim=1 nodes=65 extent=1\nnot a number\n"
+        )
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 1
+        assert "u_000002.csv" in capsys.readouterr().err
+
     def test_verify_requires_snapshots(self, config_path, tmp_path, capsys):
         no_snap = CONFIG.replace("snapshot_stride = 1", "snapshot_stride = 0")
         path = tmp_path / "nosnap.cfg"

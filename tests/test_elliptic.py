@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crystalflow.elliptic import (
+    helmholtz_matrix,
     solve_helmholtz_neumann,
     solve_weighted_helmholtz,
     weighted_helmholtz_matrix,
@@ -71,15 +72,38 @@ class TestWeighted:
         b, _ = solve_weighted_helmholtz(grid2d, 0.3, c, rhs)
         np.testing.assert_allclose(b.values, a.values, atol=1e-10)
 
-    def test_matrix_symmetric_under_quadrature(self, grid2d):
+    @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+    def test_matrix_symmetric_under_quadrature(self, grid_name, request):
         """W = diag(q) A must be symmetric; this is the discrete self-adjointness
         of -div(c grad .) with zero-flux boundaries."""
+        grid = request.getfixturevalue(grid_name)
         rng = np.random.default_rng(3)
-        c = Field(grid2d, np.cosh(rng.standard_normal(grid2d.num_nodes)))
-        A = weighted_helmholtz_matrix(grid2d, 0.7, c)
-        q = grid2d.quad_weights()
+        c = Field(grid, np.cosh(rng.standard_normal(grid.num_nodes)))
+        A = weighted_helmholtz_matrix(grid, 0.7, c)
+        q = grid.quad_weights()
         W = A.multiply(q[:, None]).toarray()
         np.testing.assert_allclose(W, W.T, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            Grid(1, (1.0,), (33,)),
+            Grid(2, (1.0, 2.0), (17, 25)),
+            Grid(2, (1.0, 1.0), (33, 33)),
+            # unequal spacings: the interior diagonal sums entries of both axes
+            Grid(2, (1.0, 1.0), (9, 21)),
+        ],
+        ids=lambda g: "x".join(map(str, g.nodes)),
+    )
+    def test_unit_weight_matrix_equals_helmholtz(self, grid):
+        """One assembly builds both operators, so they agree entry for entry."""
+        a = helmholtz_matrix(grid, 0.7)
+        b = weighted_helmholtz_matrix(grid, 0.7, Field.constant(grid, 1.0))
+        a.sort_indices()
+        b.sort_indices()
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
 
     def test_coefficient_floor_enforced(self, grid1d):
         c = Field.constant(grid1d, 0.5)

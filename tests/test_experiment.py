@@ -99,6 +99,16 @@ class TestRunExperiment:
         assert manifest["status"] == "FAILED"
         assert "config.txt" in manifest["artifacts"]
 
+    def test_corrupt_snapshot_profile_fails_with_manifest(self, tmp_path):
+        snap = tmp_path / "corrupt.csv"
+        snap.write_text("# grid: nodes=65 extent=1\n0\n")
+        cfg = make_cfg(**{"profile = cosine\namplitude = 0.1": f"profile = snapshot\npath = {snap}"})
+        result = run_experiment(cfg, tmp_path)
+        assert result.exit_code == 1
+        assert "SnapshotFormatError" in result.error
+        manifest = json.loads((result.directory / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = make_cfg(
             **{"profile = cosine\namplitude = 0.1": "profile = random_smooth\namplitude = 0.3\nseed = 5"}

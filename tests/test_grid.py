@@ -5,7 +5,11 @@ import io
 import numpy as np
 import pytest
 
-from crystalflow.exceptions import InvalidExponentError, UnsupportedDimensionError
+from crystalflow.exceptions import (
+    InvalidExponentError,
+    SnapshotFormatError,
+    UnsupportedDimensionError,
+)
 from crystalflow.grid import (
     Field,
     Grid,
@@ -127,6 +131,27 @@ class TestLaplacian:
             byparts = -inner(f, laplacian_neumann(f))
             assert grad_sq_integral(f) == pytest.approx(byparts, rel=1e-12)
 
+    def test_grad_sq_bitwise_equal_to_explicit_2d_formula(self):
+        """The per-axis contraction reproduces the explicit 2-D sums exactly,
+        which keeps the stored energy columns byte-stable."""
+
+        def explicit(f):
+            hx, hy = f.grid.spacing
+            nx, ny = f.grid.nodes
+            wx, wy = np.full(nx, hx), np.full(ny, hy)
+            wx[0] = wx[-1] = hx / 2
+            wy[0] = wy[-1] = hy / 2
+            v = f.shaped()
+            dx = np.diff(v, axis=0)
+            dy = np.diff(v, axis=1)
+            return float(np.sum((dx * dx) @ wy) / hx + np.sum(wx @ (dy * dy)) / hy)
+
+        rng = np.random.default_rng(7)
+        grid = Grid(2, (1.3, 0.7), (21, 13))
+        for _ in range(40):
+            f = Field(grid, rng.standard_normal(grid.num_nodes))
+            assert grad_sq_integral(f) == explicit(f)
+
 
 class TestPLaplacian:
     def test_p2_equals_laplacian(self, grid1d):
@@ -180,3 +205,16 @@ class TestSnapshotIO:
     def test_rejects_malformed_header(self):
         with pytest.raises(ValueError, match="header"):
             read_field(io.StringIO("not a header\n0\n"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# grid: nodes=3 extent=1\n0\n0\n0\n",
+            "# grid: dim=1 nodes=3 extent=1\n0\nabc\n0\n",
+            "# grid: dim=1 nodes=3 extent=1\n0\n0\n",
+        ],
+        ids=["no_dim", "non_numeric", "short"],
+    )
+    def test_rejects_malformed_content(self, text):
+        with pytest.raises(SnapshotFormatError):
+            read_field(io.StringIO(text))
