@@ -2,9 +2,14 @@
 
 Subcommands:
     run <config>                         run one experiment
-    verify <trajectory-dir>              re-check the estimate reports of a run
+    verify <trajectory-dir>              recompute a run's reports from its snapshots
     sweep <config> --param tau --values  parameter sweep with convergence summary
     compare <config> --variants a,b      side-by-side nonlinearity comparison
+
+`verify` recomputes exactly the reports that `run` chose for the run
+directory and prints them in the reports.csv format, so on a clean run
+with snapshot_stride = 1 its output equals that file byte for byte. It
+exits 1 when a report fails or the directory cannot be read.
 
 The CRYSTALFLOW_OUTPUT_ROOT environment variable, when set, is prepended
 to every configured output directory.
@@ -18,11 +23,9 @@ import sys
 from pathlib import Path
 
 from .config import parse_config
-from .estimates import standard_reports, write_reports_csv
+from .estimates import write_reports_csv
 from .exceptions import ConfigError, CrystalflowError
-from .experiment import compare_variants, run_experiment, sweep
-from .grid import load_field
-from .stepper import SchemeParams, StepRecord, Trajectory
+from .experiment import compare_variants, run_experiment, sweep, verify_run
 
 OUTPUT_ROOT_ENV = "CRYSTALFLOW_OUTPUT_ROOT"
 
@@ -48,35 +51,8 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
-def _reload_trajectory(directory: Path) -> Trajectory:
-    """Rebuild a Trajectory from a run directory's config and snapshots."""
-    cfg = parse_config((directory / "config.txt").read_bytes())
-    fields_dir = directory / "fields"
-    if not fields_dir.is_dir():
-        raise CrystalflowError(
-            f"{directory} has no fields/ snapshots; re-run with snapshot_stride = 1 to verify"
-        )
-    u_paths = sorted(fields_dir.glob("u_*.csv"))
-    records = []
-    for u_path in u_paths:
-        k = int(u_path.stem.split("_")[1])
-        w_path = fields_dir / f"w_{k:06d}.csv"
-        records.append(
-            StepRecord(k, load_field(u_path), load_field(w_path), 0, False, 0.0)
-        )
-    expected = cfg.scheme.num_steps + 1
-    if len(records) != expected or any(rec.k != i for i, rec in enumerate(records)):
-        raise CrystalflowError(
-            f"{directory} snapshots are incomplete ({len(records)} of {expected}); "
-            "verification needs every step (snapshot_stride = 1)"
-        )
-    return Trajectory(cfg.scheme, cfg.grid, cfg.variant, records)
-
-
 def _cmd_verify(args) -> int:
-    directory = Path(args.trajectory_dir)
-    traj = _reload_trajectory(directory)
-    reports = standard_reports(traj)
+    reports = verify_run(args.trajectory_dir)
     write_reports_csv(reports, sys.stdout)
     return 0 if all(rep.passed for rep in reports) else 1
 

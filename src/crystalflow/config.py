@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimates import REPORT_NAMES
 from .exceptions import ConfigError
 from .grid import FLOAT_FMT, Field, Grid, load_field
 from .nonlinearity import Variant, make_variant
@@ -29,7 +30,6 @@ __all__ = [
 
 PROFILE_KINDS = ("constant", "cosine", "gaussian_bump", "random_smooth", "snapshot")
 VARIANT_KINDS = ("sinh", "exp", "scaled_sinh", "p_exponent", "linear")
-REPORT_NAMES = ("prop31", "prop32", "prop33")
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, OverflowCapError
-from .grid import Field, grad_sq_integral, laplacian_matrix, p_flux
+from .grid import Field, grad_sq_integral, laplacian_matrix
 from .stepper import Trajectory
 
 __all__ = [
+    "REPORT_NAMES",
     "EstimateReport",
     "MonitorSeries",
     "cosh_energy",
@@ -187,20 +188,7 @@ def _worst_truncation(running_sum: np.ndarray, endpoint: np.ndarray) -> int:
     return int(np.argmax(total[1:]) + 1)
 
 
-def verify_prop31(traj: Trajectory) -> EstimateReport:
-    """First energy inequality: rate + flux dissipation against initial energy.
-
-    For every K >= 1,
-
-        sum_{k<=K} tau [ ||du_k||^2 + ||Lap f(w_k)||^2 + r^2 ||w_k||^2
-                         + 2 r S_k + 2 r^2 W_k + 2 r int|grad w_k|^2 ]
-        + 2 C_K + r G_K + r^2 M_K
-            <= 2 C_0 + 2 r G_0 + 2 r^2 M_0.
-
-    Reported lhs is the worst truncation K; rhs is the initial-data bound.
-    """
-    _require_hyperbolic(traj)
-    fn = _functionals(traj)
+def _prop31(fn: _Functionals) -> EstimateReport:
     tau, r = fn.tau, fn.r
 
     per_step = (
@@ -236,18 +224,7 @@ def verify_prop31(traj: Trajectory) -> EstimateReport:
     return EstimateReport("prop31", lhs, float(rhs), terms)
 
 
-def verify_prop32(traj: Trajectory) -> EstimateReport:
-    """Second energy inequality: Dirichlet decay plus exponent-gradient control.
-
-    For every K >= 1,
-
-        (G_K + r M_K)/2
-        + sum_{k<=K} tau [ int|grad w_k|^2 + r ||Lap u_k||^2
-                           + 2 r^2 G_k + r^3 M_k ]
-            <= G_0 + r M_0.
-    """
-    _require_hyperbolic(traj)
-    fn = _functionals(traj)
+def _prop32(fn: _Functionals) -> EstimateReport:
     tau, r = fn.tau, fn.r
 
     per_step = fn.gradw + r * fn.lap_u_sq + 2 * r**2 * fn.G + r**3 * fn.M
@@ -272,21 +249,7 @@ def verify_prop32(traj: Trajectory) -> EstimateReport:
     return EstimateReport("prop32", lhs, float(rhs), terms)
 
 
-def verify_prop33(traj: Trajectory) -> EstimateReport:
-    """Third energy inequality: control of the time derivatives.
-
-    For every K >= 1,
-
-        2 sum_{k<=K} tau ||dw_k||^2 + ||du_K||^2 + r S_K + 2 r^2 E_K
-        + 2 r sum_{k<=K} tau int|grad du_k|^2 + 2 r^2 sum_{k<=K} tau ||du_k||^2
-            <= ||du_0||^2 + r S_0 + 2 r^2 W_0
-
-    with the startup rate du_0 = Lap f(w_0) - r w_0. The endpoint uses the
-    convexity gap E (which is what the telescoping actually produces and
-    never exceeds W), while the right side keeps the plain W_0 form.
-    """
-    _require_hyperbolic(traj)
-    fn = _functionals(traj)
+def _prop33(fn: _Functionals) -> EstimateReport:
     tau, r = fn.tau, fn.r
 
     per_step = 2 * fn.dw_sq + 2 * r * fn.grad_du + 2 * r**2 * fn.du_sq
@@ -316,8 +279,64 @@ def verify_prop33(traj: Trajectory) -> EstimateReport:
     return EstimateReport("prop33", lhs, float(rhs), terms)
 
 
-def standard_reports(traj: Trajectory) -> list[EstimateReport]:
-    return [verify_prop31(traj), verify_prop32(traj), verify_prop33(traj)]
+_REPORTS = {"prop31": _prop31, "prop32": _prop32, "prop33": _prop33}
+REPORT_NAMES = tuple(_REPORTS)
+
+
+def standard_reports(traj: Trajectory, names=REPORT_NAMES) -> list[EstimateReport]:
+    """The energy-inequality reports `names`, in that order.
+
+    The per-record functionals are computed once, in one pass over the
+    records, and shared by every report. Raises InvalidInputError unless
+    the variant is odd with f' >= 1 and uses the plain Laplacian exponent.
+    """
+    _require_hyperbolic(traj)
+    fn = _functionals(traj)
+    return [_REPORTS[name](fn) for name in names]
+
+
+def verify_prop31(traj: Trajectory) -> EstimateReport:
+    """First energy inequality: rate + flux dissipation against initial energy.
+
+    For every K >= 1,
+
+        sum_{k<=K} tau [ ||du_k||^2 + ||Lap f(w_k)||^2 + r^2 ||w_k||^2
+                         + 2 r S_k + 2 r^2 W_k + 2 r int|grad w_k|^2 ]
+        + 2 C_K + r G_K + r^2 M_K
+            <= 2 C_0 + 2 r G_0 + 2 r^2 M_0.
+
+    Reported lhs is the worst truncation K; rhs is the initial-data bound.
+    """
+    return standard_reports(traj, ("prop31",))[0]
+
+
+def verify_prop32(traj: Trajectory) -> EstimateReport:
+    """Second energy inequality: Dirichlet decay plus exponent-gradient control.
+
+    For every K >= 1,
+
+        (G_K + r M_K)/2
+        + sum_{k<=K} tau [ int|grad w_k|^2 + r ||Lap u_k||^2
+                           + 2 r^2 G_k + r^3 M_k ]
+            <= G_0 + r M_0.
+    """
+    return standard_reports(traj, ("prop32",))[0]
+
+
+def verify_prop33(traj: Trajectory) -> EstimateReport:
+    """Third energy inequality: control of the time derivatives.
+
+    For every K >= 1,
+
+        2 sum_{k<=K} tau ||dw_k||^2 + ||du_K||^2 + r S_K + 2 r^2 E_K
+        + 2 r sum_{k<=K} tau int|grad du_k|^2 + 2 r^2 sum_{k<=K} tau ||du_k||^2
+            <= ||du_0||^2 + r S_0 + 2 r^2 W_0
+
+    with the startup rate du_0 = Lap f(w_0) - r w_0. The endpoint uses the
+    convexity gap E (which is what the telescoping actually produces and
+    never exceeds W), while the right side keeps the plain W_0 form.
+    """
+    return standard_reports(traj, ("prop33",))[0]
 
 
 @dataclass

@@ -67,7 +67,8 @@ class OverflowCapError(CrystalflowError):
 
 
 class SnapshotFormatError(CrystalflowError, ValueError):
-    """A field snapshot file does not follow the snapshot format."""
+    """A field snapshot file cannot be read as a snapshot: it is missing,
+    unreadable, or does not follow the snapshot format."""
 
 
 class ConfigError(CrystalflowError):

@@ -20,34 +20,27 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ExperimentConfig, build_initial_field, config_to_text
+from .config import ExperimentConfig, build_initial_field, config_to_text, parse_config
 from .estimates import (
     EstimateReport,
     continuum_monitors,
     p_variant_energy,
-    verify_prop31,
-    verify_prop32,
-    verify_prop33,
+    standard_reports,
     write_reports_csv,
     write_terms_csv,
 )
 from .exceptions import CrystalflowError
-from .grid import FLOAT_FMT, Field, save_field
-from .stepper import Trajectory, run
+from .grid import FLOAT_FMT, load_field, save_field
+from .stepper import StepRecord, Trajectory, run
 
 __all__ = [
     "ExperimentResult",
     "run_experiment",
+    "verify_run",
     "sweep",
     "compare_variants",
     "compare_scaled_sinh",
 ]
-
-_REPORT_FUNCS = {
-    "prop31": verify_prop31,
-    "prop32": verify_prop32,
-    "prop33": verify_prop33,
-}
 
 
 @dataclasses.dataclass
@@ -95,13 +88,59 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _write_snapshots(traj: Trajectory, fields_dir: Path, stride: int) -> None:
+    fields_dir.mkdir(exist_ok=True)
+    for rec in traj.records:
+        if rec.k % stride == 0 or rec.k == traj.num_steps:
+            save_field(rec.u, fields_dir / f"u_{rec.k:06d}.csv")
+            save_field(rec.w, fields_dir / f"w_{rec.k:06d}.csv")
+
+
+def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
+    """Rebuild a run's config and Trajectory from its config.txt and snapshots."""
+    config_path = directory / "config.txt"
+    try:
+        config_bytes = config_path.read_bytes()
+    except OSError as err:
+        raise CrystalflowError(f"{config_path}: cannot read the run config: {err.strerror}") from err
+    cfg = parse_config(config_bytes)
+    fields_dir = directory / "fields"
+    if not fields_dir.is_dir():
+        raise CrystalflowError(
+            f"{directory} has no fields/ snapshots; re-run with snapshot_stride = 1 to verify"
+        )
+    records = []
+    for k in range(cfg.scheme.num_steps + 1):
+        u_path = fields_dir / f"u_{k:06d}.csv"
+        if not u_path.is_file():
+            raise CrystalflowError(
+                f"{u_path} is missing; verification needs every step (snapshot_stride = 1)"
+            )
+        w_path = fields_dir / f"w_{k:06d}.csv"
+        records.append(
+            StepRecord(k, load_field(u_path), load_field(w_path), 0, False, 0.0)
+        )
+    return cfg, Trajectory(cfg.scheme, cfg.grid, cfg.variant, records)
+
+
 def _applicable_reports(cfg: ExperimentConfig, traj: Trajectory) -> list[EstimateReport]:
+    """The reports a run of cfg gets; run_experiment and verify_run both ask here."""
     variant = cfg.variant
     if variant.p is not None:
         return [p_variant_energy(traj, variant.p)]
     if not variant.hyperbolic:
         return []
-    return [_REPORT_FUNCS[name](traj) for name in cfg.output.reports]
+    return standard_reports(traj, cfg.output.reports)
+
+
+def verify_run(directory) -> list[EstimateReport]:
+    """Recompute a finished run's reports from its config.txt and snapshots.
+
+    The run must keep every step (snapshot_stride = 1); the reports are the
+    ones run_experiment wrote to reports.csv, computed the same way.
+    """
+    cfg, traj = _reload_run(Path(directory))
+    return _applicable_reports(cfg, traj)
 
 
 def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
@@ -129,12 +168,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
         traj = run(u0, cfg.scheme, cfg.variant)
         _write_trajectory_csv(traj, out_dir / "trajectory.csv")
         if cfg.output.snapshot_stride > 0:
-            fields_dir = out_dir / "fields"
-            fields_dir.mkdir(exist_ok=True)
-            for rec in traj.records:
-                if rec.k % cfg.output.snapshot_stride == 0 or rec.k == traj.num_steps:
-                    save_field(rec.u, fields_dir / f"u_{rec.k:06d}.csv")
-                    save_field(rec.w, fields_dir / f"w_{rec.k:06d}.csv")
+            _write_snapshots(traj, out_dir / "fields", cfg.output.snapshot_stride)
         reports = _applicable_reports(cfg, traj)
         with open(out_dir / "reports.csv", "w", newline="\n") as fh:
             write_reports_csv(reports, fh)

@@ -299,5 +299,11 @@ def save_field(f: Field, path) -> None:
 
 
 def load_field(path) -> Field:
-    with open(path) as fh:
-        return read_field(fh)
+    """Read a snapshot file; raises SnapshotFormatError when it cannot be read."""
+    try:
+        with open(path) as fh:
+            return read_field(fh)
+    except OSError as err:
+        raise SnapshotFormatError(f"{path}: cannot read snapshot: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise SnapshotFormatError(f"{path}: snapshot is not text: {err.reason}") from err

@@ -61,15 +61,41 @@ class TestRunCommand:
         assert "failed" in capsys.readouterr().err
 
 
+# config edits giving run kinds whose reports differ: all three, a subset in
+# the configured order, the p-variant dissipation law, and none for exp
+VERIFY_CASES = {
+    "default": {},
+    "subset": {"snapshot_stride = 1": "snapshot_stride = 1\nreports = prop33,prop31"},
+    "p3": {"[output]": "[variant]\nkind = p_exponent\np = 3\n\n[output]"},
+    "exp": {"[output]": "[variant]\nkind = exp\n\n[output]"},
+}
+
+
 class TestVerifyCommand:
-    def test_verify_round_trip(self, config_path, tmp_path, capsys):
-        main(["--output-root", str(tmp_path), "run", config_path])
+    @pytest.mark.parametrize("case", VERIFY_CASES)
+    def test_verify_round_trip(self, case, tmp_path, capsys):
+        text = CONFIG
+        for old, new in VERIFY_CASES[case].items():
+            text = text.replace(old, new)
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
         capsys.readouterr()
         code = main(["verify", str(tmp_path / "demo")])
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("name,lhs,rhs,margin,pass")
-        assert out.count("true") == 3
+        assert out == (tmp_path / "demo" / "reports.csv").read_text()
+        if case == "default":
+            assert out.count("true") == 3
+
+    @pytest.mark.parametrize("missing", ["fields/w_000001.csv", "config.txt"])
+    def test_verify_names_missing_file(self, missing, config_path, tmp_path, capsys):
+        main(["--output-root", str(tmp_path), "run", config_path])
+        (tmp_path / "demo" / missing).unlink()
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 1
+        assert missing.split("/")[-1] in capsys.readouterr().err
 
     def test_verify_rejects_corrupt_snapshot(self, config_path, tmp_path, capsys):
         main(["--output-root", str(tmp_path), "run", config_path])
@@ -79,6 +105,24 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 1
         assert "u_000002.csv" in capsys.readouterr().err
+
+    def test_verify_ignores_stray_files(self, config_path, tmp_path, capsys):
+        main(["--output-root", str(tmp_path), "run", config_path])
+        fields = tmp_path / "demo" / "fields"
+        (fields / "u_000001 copy.csv").write_bytes((fields / "u_000001.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 0
+        assert capsys.readouterr().out == (tmp_path / "demo" / "reports.csv").read_text()
+
+    def test_verify_names_first_missing_step(self, config_path, tmp_path, capsys):
+        sparse = CONFIG.replace("snapshot_stride = 1", "snapshot_stride = 2")
+        path = tmp_path / "sparse.cfg"
+        path.write_text(sparse)
+        main(["--output-root", str(tmp_path), "run", str(path)])
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 1
+        err = capsys.readouterr().err
+        assert "u_000001.csv" in err and "snapshot_stride = 1" in err
 
     def test_verify_requires_snapshots(self, config_path, tmp_path, capsys):
         no_snap = CONFIG.replace("snapshot_stride = 1", "snapshot_stride = 0")

@@ -178,6 +178,14 @@ class TestReportStructure:
             assert ra.rhs == rb.rhs
             assert ra.terms == rb.terms
 
+    def test_named_reports_in_requested_order(self, cosine_traj):
+        full = standard_reports(cosine_traj)
+        subset = standard_reports(cosine_traj, ("prop33", "prop31"))
+        assert [rep.name for rep in subset] == ["prop33", "prop31"]
+        assert subset[0].terms == full[2].terms
+        assert subset[1].terms == full[0].terms
+        assert verify_prop32(cosine_traj).terms == full[1].terms
+
     def test_rejects_exp_variant(self, grid1d):
         traj = run(
             _random_smooth(grid1d, 0.2, seed=1),

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from crystalflow import estimates
 from crystalflow.config import parse_config
 from crystalflow.experiment import (
     compare_scaled_sinh,
@@ -108,6 +109,30 @@ class TestRunExperiment:
         assert "SnapshotFormatError" in result.error
         manifest = json.loads((result.directory / "manifest.json").read_text())
         assert manifest["status"] == "FAILED"
+
+    def test_missing_snapshot_profile_fails_with_manifest(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        cfg = make_cfg(**{"profile = cosine\namplitude = 0.1": f"profile = snapshot\npath = {missing}"})
+        result = run_experiment(cfg, tmp_path)
+        assert result.exit_code == 1
+        assert "SnapshotFormatError" in result.error and "missing.csv" in result.error
+        manifest = json.loads((result.directory / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+
+    def test_functionals_computed_once_per_report_set(self, tmp_path, monkeypatch):
+        calls = []
+        functionals = estimates._functionals
+
+        def counted(traj):
+            calls.append(traj)
+            return functionals(traj)
+
+        monkeypatch.setattr(estimates, "_functionals", counted)
+        result = run_experiment(make_cfg(), tmp_path)
+        assert [rep.name for rep in result.reports] == ["prop31", "prop32", "prop33"]
+        assert len(calls) == 1
+        estimates.standard_reports(result.trajectory)
+        assert len(calls) == 2
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = make_cfg(

@@ -218,3 +218,11 @@ class TestSnapshotIO:
     def test_rejects_malformed_content(self, text):
         with pytest.raises(SnapshotFormatError):
             read_field(io.StringIO(text))
+
+    @pytest.mark.parametrize("content", [None, b"\xc0\xff\x00"], ids=["missing", "not_text"])
+    def test_load_names_unreadable_file(self, content, tmp_path):
+        path = tmp_path / "u_000001.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SnapshotFormatError, match="u_000001.csv"):
+            load_field(path)
