@@ -40,7 +40,7 @@ from .grid import (
     save_field,
 )
 from .nonlinearity import Variant, make_variant, sinh_variant
-from .stepper import SchemeParams, Trajectory, fixed_point_step, init_w0, newton_step, run
+from .stepper import SchemeParams, Trajectory, init_w0, newton_step, run
 
 __all__ = [
     "__version__",
@@ -81,6 +81,5 @@ __all__ = [
     "Trajectory",
     "run",
     "init_w0",
-    "fixed_point_step",
     "newton_step",
 ]

@@ -253,9 +253,6 @@ def _parse_scheme(raw, violations):
         "horizon": r.real("horizon", default=0.1),
         "reg_eps": r.real("reg_eps", default=None),
         "picard_tol": r.real("picard_tol", default=1e-10),
-        "picard_max_iter": r.integer("picard_max_iter", default=200),
-        "picard_damping": r.real("picard_damping", default=1.0),
-        "newton_fallback": r.boolean("newton_fallback", default=True),
         "sinh_arg_cap": r.real("sinh_arg_cap", default=700.0),
     }
     r.finish()
@@ -347,9 +344,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     if sp.reg_eps is not None:
         lines.append(f"reg_eps = {FLOAT_FMT % sp.reg_eps}")
     lines.append(f"picard_tol = {FLOAT_FMT % sp.picard_tol}")
-    lines.append(f"picard_max_iter = {sp.picard_max_iter}")
-    lines.append(f"picard_damping = {FLOAT_FMT % sp.picard_damping}")
-    lines.append(f"newton_fallback = {str(sp.newton_fallback).lower()}")
     lines.append(f"sinh_arg_cap = {FLOAT_FMT % sp.sinh_arg_cap}")
 
     v = cfg.variant

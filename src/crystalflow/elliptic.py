@@ -89,7 +89,12 @@ def weighted_divergence_matrix(grid: Grid, c: Field) -> sp.csr_matrix:
 
 
 def weighted_helmholtz_matrix(grid: Grid, tau: float, c: Field) -> sp.csr_matrix:
-    """(-div(c grad .) + tau I) with arithmetic-mean half-node coefficients."""
+    """(-div(c grad .) + tau I) with arithmetic-mean half-node coefficients.
+
+    Off the run path: besides solve_weighted_helmholtz, only
+    stepper.fixed_point_step calls it, and it stays for that caller until
+    the benchmark change of ROADMAP item 2.
+    """
     n = grid.num_nodes
     return (-weighted_divergence_matrix(grid, c) + tau * sp.identity(n, format="csr")).tocsr()
 

@@ -66,7 +66,7 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     measure = traj.grid.measure
     with open(path, "w", newline="\n") as fh:
         fh.write(
-            "k,t,picard_iters,newton_used,residual_inf,"
+            "k,t,newton_iters,residual_inf,"
             "u_mean,mass,dirichlet,cosh_energy,l2_time_derivative,w_sup\n"
         )
         for k, rec in enumerate(traj.records):
@@ -75,8 +75,7 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
             row = [
                 str(k),
                 FLOAT_FMT % monitors.t[k],
-                str(rec.picard_iters),
-                str(rec.newton_used).lower(),
+                str(rec.newton_iters),
                 FLOAT_FMT % rec.residual_inf,
                 FLOAT_FMT % u_mean,
                 FLOAT_FMT % monitors.mass[k],
@@ -118,7 +117,7 @@ def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
             )
         w_path = fields_dir / f"w_{k:06d}.csv"
         records.append(
-            StepRecord(k, load_field(u_path), load_field(w_path), 0, False, 0.0)
+            StepRecord(k, load_field(u_path), load_field(w_path), 0, 0.0)
         )
     return cfg, Trajectory(cfg.scheme, cfg.grid, cfg.variant, records)
 

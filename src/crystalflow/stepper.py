@@ -9,16 +9,16 @@ with zero-flux boundaries, where tau' is the regularization weight (equal
 to the timestep by default, or an independent epsilon when decoupled for
 convergence studies).
 
-The step is computed by a damped fixed-point iteration that alternates the
-two linear Neumann sub-problems -- a Helmholtz solve for u with the current
-w iterate as data, then a f'(w)-weighted solve for w -- with a defect
-correction making the fixed point satisfy the stencil form of the first
-equation exactly. A coupled Newton solve with line search serves as
-fallback and as an independent cross-check. Each Newton iteration
-eliminates the w-update through the second equation and factors only the
-n x n system left for the u-update. Every sparse system of the step goes
-through elliptic.lu_factor: SuperLU's minimum-degree ordering on A + A^T
-(MMD_AT_PLUS_A) in symmetric mode, diagonal pivot threshold 1e-3.
+Each step is one Newton solve of the coupled residual with a halving line
+search, started from the previous step's pair (u, w). Every Newton
+iteration eliminates the w-update through the second equation and factors
+only the n x n system left for the u-update. Every sparse system of the
+step goes through elliptic.lu_factor: SuperLU's minimum-degree ordering on
+A + A^T (MMD_AT_PLUS_A) in symmetric mode, diagonal pivot threshold 1e-3.
+
+The damped fixed-point map (fixed_point_step) is off the run path. It
+remains, with the helpers only it reaches, until the benchmark stops
+tracing it (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "StepRecord",
     "Trajectory",
     "init_w0",
-    "fixed_point_step",
     "newton_step",
     "run",
 ]
@@ -49,20 +48,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Timestep, horizon, regularization coupling and solver knobs.
+    """Timestep, horizon, regularization coupling, step tolerance and the
+    overflow cap on the exponent's argument.
 
     reg_eps = None keeps the fully coupled scheme where the timestep itself is
     the regularization weight in both zero-order terms; a positive reg_eps
     decouples them so the timestep can be refined at fixed regularization.
+    picard_tol bounds the sup-norm of both stencil residuals of an accepted
+    step.
     """
 
     tau: float
     horizon: float
     reg_eps: float | None = None
     picard_tol: float = 1e-10
-    picard_max_iter: int = 200
-    picard_damping: float = 1.0
-    newton_fallback: bool = True
     sinh_arg_cap: float = 700.0
 
     def __post_init__(self):
@@ -80,10 +79,6 @@ class SchemeParams:
             raise ValueError(f"reg_eps must be positive when given, got {self.reg_eps}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be at least 1")
-        if not 0 < self.picard_damping <= 1:
-            raise ValueError("picard_damping must lie in (0, 1]")
 
     @property
     def num_steps(self) -> int:
@@ -108,8 +103,7 @@ class StepRecord:
     k: int
     u: Field
     w: Field
-    picard_iters: int
-    newton_used: bool
+    newton_iters: int
     residual_inf: float
 
 
@@ -130,7 +124,12 @@ class Trajectory:
 
 @lru_cache(maxsize=16)
 def _helmholtz_factor(grid: Grid, tau_reg: float):
+    """LU of -Laplacian + tau' I. Only fixed_point_step reaches it; it
+    remains until the benchmark change of ROADMAP item 2."""
     return lu_factor(helmholtz_matrix(grid, tau_reg))
+
+
+_PICARD_MAX_ITER = 200
 
 
 def _apply_exponent_op(grid: Grid, tau_reg: float, u: np.ndarray, variant: Variant) -> np.ndarray:
@@ -171,6 +170,9 @@ def _solve_exponent_problem(
     can put that floor above tol, and no further iterate would do better.
     A residual above both after 60 iterations raises StepFailure carrying
     the residual history and the floor.
+
+    Only fixed_point_step reaches this solve; it remains until the benchmark
+    change of ROADMAP item 2.
     """
     if variant.p is None:
         return _helmholtz_factor(grid, tau_reg).solve(phi)
@@ -234,11 +236,15 @@ def fixed_point_step(
     The map sends phi to the solution w of the f'(phi)-weighted Helmholtz
     problem whose data comes from the u-solve with exponent phi; a defect
     correction term makes its fixed point satisfy the stencil equations to
-    the Picard tolerance. Damping is halved whenever the combined residual
-    increases, and a trial is rejected the same way when its argument
-    exceeds the cap or its inner u-solve raises StepFailure. On stagnation
-    the coupled Newton solver takes over when enabled; otherwise a
-    "fixed-point iteration stalled" StepFailure is raised.
+    the Picard tolerance. Damping starts at 1 and is halved whenever the
+    combined residual increases, and a trial is rejected the same way when
+    its argument exceeds the cap or its inner u-solve raises StepFailure.
+    On stagnation, or after _PICARD_MAX_ITER iterations, newton_step takes
+    over from the last iterate.
+
+    run does not call this map: Newton alone reaches the same fields in
+    fewer iterations. It remains, off the run path, until the benchmark
+    change of ROADMAP item 2 stops tracing it.
     """
     variant = variant or sinh_variant()
     grid = v.grid
@@ -250,11 +256,11 @@ def fixed_point_step(
     variant.check_cap(phi, cap)
     u = _solve_exponent_problem(grid, tau_reg, phi, variant, v.values, tol / 10)
     res = _step_residual(grid, tau, tau_reg, v.values, u, phi, variant, cap)
-    theta = params.picard_damping
+    theta = 1.0
     history = [res]
     iters = 0
 
-    while iters < params.picard_max_iter and res > tol:
+    while iters < _PICARD_MAX_ITER and res > tol:
         weight = Field(grid, variant.df(phi))
         # defect correction: shift the data so the *stencil* equation
         # -Lap f(w) + tau' w = -(u - v)/tau holds at the fixed point even
@@ -286,15 +292,9 @@ def fixed_point_step(
             break
 
     if res > tol:
-        if params.newton_fallback:
-            u_f, w_f, diag = newton_step(v, params, (Field(grid, u), Field(grid, phi)), variant)
-            diag.picard_iters += iters
-            return u_f, w_f, diag
-        raise StepFailure(
-            f"fixed-point iteration stalled at residual {res:.3e} after {iters} iterations",
-            residual=res,
-            residual_history=history,
-        )
+        u_f, w_f, diag = newton_step(v, params, (Field(grid, u), Field(grid, phi)), variant)
+        diag.picard_iters += iters
+        return u_f, w_f, diag
 
     diag = StepDiagnostics(iters, False, res, history)
     return Field(grid, u), Field(grid, phi), diag
@@ -310,8 +310,9 @@ def newton_step(
 
     With residuals r1, r2 of the two equations, the Jacobian has the blocks
     [[I/tau, A], [B, -I]], where A = block_uw = -Laplacian diag(f'(w)) + tau' I
-    and B = block_uu = -Laplacian + tau' I (minus the p-Laplacian's
-    Jacobian, plus tau' I, for the p-variant). Its w-row gives
+    and B = block_uu = -Laplacian + tau' I, which elliptic.helmholtz_matrix
+    assembles once per step (minus the p-Laplacian's Jacobian, plus tau' I,
+    rebuilt every iteration for the p-variant). Its w-row gives
     dw = B du + r2, which leaves the n x n system
     (I/tau + A B) du = -r1 - A r2. That matrix has a structurally symmetric
     pattern and a large positive diagonal, so it is factored afresh each
@@ -342,14 +343,14 @@ def newton_step(
     r = residual_vec(u, w)
     res = np.abs(r).max()
     history = [float(res)]
+    if variant.p is None:
+        block_uu = helmholtz_matrix(grid, tau_reg)
 
     for _ in range(60):
         if res <= tol:
             break
         if variant.p is not None:
             block_uu = -p_laplacian_jacobian_1d(Field(grid, u), variant.p) + tau_reg * eye
-        else:
-            block_uu = -lap + tau_reg * eye
         block_uw = -lap @ sp.diags(variant.df(w)) + tau_reg * eye
         schur = eye / tau + block_uw @ block_uu
         du = lu_factor(schur).solve(-r[:n] - block_uw @ r[n:])
@@ -394,8 +395,9 @@ def run(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Traj
     """Integrate the recursion from u0 over the whole horizon.
 
     The k = 0 record holds the supplied initial field (bit-exact) and the
-    exponent field derived from it; each later record is accepted only when
-    both stencil equations hold to the step tolerance.
+    exponent field derived from it. Step k is newton_step started from the
+    pair of step k - 1, and its record is accepted only when both stencil
+    equations hold to the step tolerance.
     """
     variant = variant or sinh_variant()
     grid = u0.grid
@@ -409,16 +411,16 @@ def run(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Traj
         err.step_index = 0
         raise
 
-    records = [StepRecord(0, u0, w0, 0, False, 0.0)]
+    records = [StepRecord(0, u0, w0, 0, 0.0)]
     u, w = u0, w0
     for k in range(1, params.num_steps + 1):
         try:
-            u, w, diag = fixed_point_step(u, params, w, variant)
+            u, w, diag = newton_step(u, params, (u, w), variant)
         except (StepFailure, OverflowCapError) as err:
             err.step_index = k
             err.args = (f"step {k}: {err.args[0]}",) + err.args[1:]
             raise
         records.append(
-            StepRecord(k, u, w, diag.picard_iters, diag.newton_used, diag.residual_inf)
+            StepRecord(k, u, w, len(diag.residual_history) - 1, diag.residual_inf)
         )
     return Trajectory(params=params, grid=grid, variant=variant, records=records)

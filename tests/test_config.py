@@ -100,6 +100,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="missing required section"):
             parse_config("[grid]\ndim = 1\nnodes = 9\n")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("newton_fallback", "true"), ("picard_max_iter", "200"), ("picard_damping", "1.0")],
+    )
+    def test_removed_solver_keys_rejected(self, key, value):
+        # every step is a Newton solve, so the fixed-point map's knobs are gone
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"\n[scheme]\ntau = 0.01\n{key} = {value}\n")
+        assert exc.value.violations == [f"line 12: unknown key {key!r} in [scheme]"]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

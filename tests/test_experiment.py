@@ -1,12 +1,13 @@
 """Experiment orchestration: artifacts, manifests, sweeps, comparisons."""
 
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from crystalflow import estimates
+from crystalflow import estimates, stepper
 from crystalflow.config import parse_config
 from crystalflow.experiment import (
     compare_scaled_sinh,
@@ -40,17 +41,21 @@ def make_cfg(**replacements):
     return parse_config(text)
 
 
+def trajectory_rows(directory):
+    with open(directory / "trajectory.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestRunExperiment:
     def test_zero_initial_condition(self, tmp_path):
         cfg = make_cfg(**{"profile = cosine\namplitude = 0.1": "profile = constant\nc = 0"})
         result = run_experiment(cfg, tmp_path)
         assert result.ok
-        rows = (result.directory / "trajectory.csv").read_text().splitlines()
-        assert len(rows) == 12
-        for row in rows[1:]:
-            fields = row.split(",")
-            assert float(fields[5]) == 0.0  # u_mean
-            assert float(fields[10]) == 0.0  # w_sup
+        rows = trajectory_rows(result.directory)
+        assert len(rows) == 11
+        for row in rows:
+            assert float(row["u_mean"]) == 0.0
+            assert float(row["w_sup"]) == 0.0
         assert all(rep.passed for rep in result.reports)
 
     def test_constant_u_mean_column(self, tmp_path):
@@ -62,10 +67,25 @@ class TestRunExperiment:
             }
         )
         result = run_experiment(cfg, tmp_path)
-        rows = (result.directory / "trajectory.csv").read_text().splitlines()[1:]
-        for k, row in enumerate(rows):
-            u_mean = float(row.split(",")[5])
-            assert u_mean == pytest.approx(2.0 / 1.125**k, abs=1e-9)
+        for k, row in enumerate(trajectory_rows(result.directory)):
+            assert float(row["u_mean"]) == pytest.approx(2.0 / 1.125**k, abs=1e-9)
+
+    def test_newton_iters_column(self, tmp_path, monkeypatch):
+        iters = []
+        newton_step = stepper.newton_step
+
+        def counted(*args, **kwargs):
+            out = newton_step(*args, **kwargs)
+            iters.append(len(out[2].residual_history) - 1)
+            return out
+
+        monkeypatch.setattr(stepper, "newton_step", counted)
+        result = run_experiment(make_cfg(), tmp_path)
+        header = (result.directory / "trajectory.csv").read_text().splitlines()[0]
+        assert header.startswith("k,t,newton_iters,residual_inf,")
+        column = [int(row["newton_iters"]) for row in trajectory_rows(result.directory)]
+        assert len(iters) == 10 and min(iters) > 0
+        assert column == [0] + iters
 
     def test_manifest_lists_every_artifact_with_hash(self, tmp_path):
         cfg = make_cfg()

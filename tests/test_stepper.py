@@ -37,9 +37,6 @@ class TestSchemeParams:
         assert p.num_steps == 10
         assert p.reg_weight == 0.01
         assert p.picard_tol == 1e-10
-        assert p.picard_max_iter == 200
-        assert p.picard_damping == 1.0
-        assert p.newton_fallback is True
         assert p.sinh_arg_cap == 700.0
 
     def test_decoupled_reg_weight(self):
@@ -57,8 +54,6 @@ class TestSchemeParams:
             {"tau": 0.1, "horizon": 0.0},
             {"tau": 0.1, "horizon": 1.0, "reg_eps": 0.0},
             {"tau": 0.1, "horizon": 1.0, "picard_tol": 0.0},
-            {"tau": 0.1, "horizon": 1.0, "picard_max_iter": 0},
-            {"tau": 0.1, "horizon": 1.0, "picard_damping": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -113,16 +108,6 @@ class TestFixedPointStep:
         with pytest.raises(OverflowCapError):
             fixed_point_step(v, params, init_w0(v, params))
 
-    def test_failure_without_fallback_carries_residual(self, grid1d):
-        params = SchemeParams(
-            tau=0.01, horizon=0.1, picard_max_iter=1, newton_fallback=False
-        )
-        v = _random_smooth(grid1d, 0.3, seed=12)
-        with pytest.raises(StepFailure) as exc:
-            fixed_point_step(v, params, init_w0(v, params))
-        assert exc.value.residual is not None
-        assert exc.value.residual > 0
-
     @pytest.fixture
     def failing_trials(self, monkeypatch):
         """Let the initial inner solve through and make every trial's solve fail."""
@@ -151,13 +136,6 @@ class TestFixedPointStep:
             grid1d, params.tau, params.reg_weight, v.values, u.values, w.values, variant, 700.0
         )
         assert res <= params.picard_tol
-
-    def test_failed_trial_without_fallback_stalls(self, grid1d, failing_trials):
-        params = SchemeParams(tau=0.01, horizon=0.1, newton_fallback=False)
-        variant = make_variant("p_exponent", p=3.0)
-        v = Field.from_function(grid1d, lambda x: 0.1 * np.cos(np.pi * x))
-        with pytest.raises(StepFailure, match="fixed-point iteration stalled"):
-            fixed_point_step(v, params, init_w0(v, params, variant), variant)
 
 
 class TestInnerExponentSolve:
@@ -263,9 +241,13 @@ class TestNewtonStep:
         assert slopes and min(slopes) >= 1.8
 
     def test_symmetric_mode_factor_on_step_one(self, monkeypatch):
-        """The step-1 Newton systems of a 65 x 65 cosine start: one fresh
-        factor per iteration, less fill than the same ordering with partial
-        pivoting, and the solutions of spsolve under that ordering."""
+        """The Newton systems that fixed_point_step's fallback solves on step 1
+        of a 65 x 65 cosine start: one fresh factor per iteration, less fill
+        than the same ordering with partial pivoting, and the solutions of
+        spsolve under that ordering. These are not the systems run takes,
+        whose Newton starts from the previous pair; the first two of those
+        have a condition estimate near 1.6e10, too large to decide a 1e-9
+        forward match."""
         grid = Grid(2, (1.0, 1.0), (65, 65))
         params = SchemeParams(tau=1e-3, horizon=0.01)
         v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
@@ -347,16 +329,6 @@ class TestNewtonStep:
             newton_step(v, params, (u_guess, w_guess))
         assert f"residual {exc.value.residual:.3e}," in str(exc.value)
 
-    def test_agrees_with_fixed_point(self, grid1d):
-        params = SchemeParams(tau=0.01, horizon=0.1)
-        v = _random_smooth(grid1d, 0.3, seed=15)
-        w_guess = init_w0(v, params)
-        u_pic, w_pic, _ = fixed_point_step(v, params, w_guess)
-        u_guess, _ = solve_helmholtz_neumann(grid1d, params.reg_weight, w_guess)
-        u_new, w_new, _ = newton_step(v, params, (u_guess, w_guess))
-        tol = 10 * params.picard_tol
-        assert np.abs(u_pic.values - u_new.values).max() <= tol
-        assert np.abs(w_pic.values - w_new.values).max() <= tol
 
 
 class TestRun:
@@ -410,6 +382,30 @@ class TestRun:
         traj = run(u0, params)
         for rec in traj.records:
             assert np.abs(rec.u.values - rec.u.values[::-1]).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "grid, variant",
+        [
+            (Grid(2, (1.0, 1.0), (17, 17)), sinh_variant()),
+            (Grid(1, (1.0,), (33,)), make_variant("p_exponent", p=3.0)),
+            (Grid(1, (1.0,), (33,)), exp_variant()),
+        ],
+        ids=["sinh-2d", "p3-1d", "exp-1d"],
+    )
+    def test_steps_with_newton_alone(self, grid, variant, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run called the fixed-point map")
+
+        monkeypatch.setattr(stepper, "fixed_point_step", fail)
+        params = SchemeParams(tau=1e-3, horizon=3e-3)
+        u0 = Field.from_function(
+            grid, lambda *xs: 0.3 * np.prod([np.cos(np.pi * x) for x in xs], axis=0)
+        )
+        traj = run(u0, params, variant)
+        assert traj.num_steps == 3
+        for rec in traj.records[1:]:
+            assert rec.newton_iters > 0
+            assert rec.residual_inf <= params.picard_tol
 
     def test_step_failure_annotated_with_index(self, grid1d):
         params = SchemeParams(tau=0.01, horizon=0.1, sinh_arg_cap=700.0)
