@@ -22,6 +22,7 @@ from crystalflow.grid import Field, Grid, integrate
 from crystalflow.nonlinearity import make_variant
 from crystalflow.stepper import (
     SchemeParams,
+    fixed_point_step,
     init_w0,
     newton_step,
     run,
@@ -190,6 +191,28 @@ class TestCriterion6IndependentCrossCheck:
             tol = 10 * params.picard_tol
             assert np.abs(partner[:n] - u_new.values).max() <= tol
             assert np.abs(partner[n:] - w_new.values).max() <= tol
+
+
+class TestCriterion6PicardNewtonCrossCheck:
+    """fixed_point_step, kept off the run path while the benchmark traces it,
+    reaches the same step as the run path's Newton from a different start.
+    On these inputs the map hands over to Newton from its last iterate, so
+    this checks that the discrete step does not depend on the route, not an
+    independent solver; that partner is hybr, above."""
+
+    def test_ten_random_steps_agree(self):
+        # entrywise agreement within 10 * picard_tol = 1e-9
+        grid = Grid(1, (1.0,), (65,))
+        for seed in range(10):
+            tau = 1e-2 if seed % 2 == 0 else 1e-3
+            params = SchemeParams(tau=tau, horizon=tau)
+            v = _random_smooth(grid, 0.5, seed=3000 + seed)
+            w_prev = init_w0(v, params)
+            u_pic, w_pic, _ = fixed_point_step(v, params, w_prev)
+            u_new, w_new, _ = newton_step(v, params, (v, w_prev))
+            tol = 10 * params.picard_tol
+            assert np.abs(u_pic.values - u_new.values).max() <= tol
+            assert np.abs(w_pic.values - w_new.values).max() <= tol
 
 
 class TestCriterion7TemporalSelfConvergence:

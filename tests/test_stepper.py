@@ -329,6 +329,17 @@ class TestNewtonStep:
             newton_step(v, params, (u_guess, w_guess))
         assert f"residual {exc.value.residual:.3e}," in str(exc.value)
 
+    def test_agrees_with_fixed_point(self, grid1d):
+        """The map's route and run's route, Newton from the previous pair,
+        reach the same step."""
+        params = SchemeParams(tau=0.01, horizon=0.1)
+        v = _random_smooth(grid1d, 0.3, seed=15)
+        w_prev = init_w0(v, params)
+        u_pic, w_pic, _ = fixed_point_step(v, params, w_prev)
+        u_new, w_new, _ = newton_step(v, params, (v, w_prev))
+        tol = 10 * params.picard_tol
+        assert np.abs(u_pic.values - u_new.values).max() <= tol
+        assert np.abs(w_pic.values - w_new.values).max() <= tol
 
 
 class TestRun:
