@@ -1,16 +1,21 @@
-"""Neumann elliptic solvers for the two linear sub-problems of the time step.
+"""Neumann Helmholtz operators, the package's one LU policy, and two solvers.
 
-Both systems are symmetric positive definite: the zero-order shift tau > 0
-removes the constant kernel of the Neumann operator, and the diffusion
-weight (the cosh coefficient of the weighted problem) is bounded below.
-Both operators come from grid.divergence_matrix, the weighted one with the
-arithmetic means of the weight on the edges, so at unit weight the two
-matrices agree entry for entry in any dimension.
-The default backend is a sparse LU factorization through lu_factor, the
-one factorization policy of the package; a Jacobi-preconditioned conjugate
-gradient backend is available behind the same contract. Either way the
-returned solution is checked against the infinity-norm residual contract
-and diagnostics are returned to the caller.
+The time step takes two things from here: helmholtz_matrix, the block
+-Laplacian + tau' I of its Newton Jacobian, and lu_factor, through which
+every sparse factorization of the package goes (a factor SuperLU rejects
+raises SolverFailure).
+
+The solvers, solve_helmholtz_neumann and solve_weighted_helmholtz, are not
+on the run path; they serve the elliptic convergence check (acceptance
+criterion 5). Both systems are symmetric positive definite: the
+zero-order shift tau > 0 removes the constant kernel of the Neumann
+operator, and the diffusion weight is bounded below. Both operators come
+from grid.divergence_matrix, the weighted one with the arithmetic means of
+the weight on the edges, so at unit weight the two matrices agree entry
+for entry in any dimension. The default backend factors through lu_factor;
+a Jacobi-preconditioned conjugate gradient backend is available behind the
+same contract. Either way the returned solution is checked against the
+infinity-norm residual contract and diagnostics are returned to the caller.
 """
 
 from __future__ import annotations
@@ -64,14 +69,18 @@ def lu_factor(M: sp.spmatrix):
     M + M^T, applied to rows and columns alike, with diagonal pivots kept
     down to DIAG_PIVOT_THRESH. Partial pivoting would move rows off the
     diagonal and add fill the ordering did not plan for. Returns the
-    SuperLU object; its solve method applies M^-1.
+    SuperLU object; its solve method applies M^-1. A factorization that
+    SuperLU rejects (an exactly singular factor) raises SolverFailure.
     """
-    return spla.splu(
-        M.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=DIAG_PIVOT_THRESH,
-        options={"SymmetricMode": True},
-    )
+    try:
+        return spla.splu(
+            M.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=DIAG_PIVOT_THRESH,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as err:
+        raise SolverFailure(f"sparse LU factorization failed: {err}", iterations=0) from err
 
 
 def _half_node_means(c: np.ndarray, axis: int) -> np.ndarray:

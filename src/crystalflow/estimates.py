@@ -19,17 +19,29 @@ per-record functionals are
     E = int (w f(w) - F(w) + F(0))               (convexity gap, >= 0)
 
 with difference quotients du_k = (u_k - u_{k-1})/tau and likewise dw_k.
+
+Every inequality, the p-variant's dissipation law included, has the shape
+
+    tau sum_{1<=k<=K} (running terms at k) + (endpoint terms at K)
+        <= (initial terms at 0),
+
+so each report is one declaration: the list of its terms, each with its
+kind (RUNNING, ENDPOINT or INITIAL), its coefficient and its per-record
+series, handed to _telescoped. That builder alone sums the series, finds
+the worst truncation and records every term at it, so the list can be
+checked line by line against the inequality in the report's docstring,
+and it is also the row order of report_terms.csv.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .exceptions import InvalidInputError, OverflowCapError
-from .grid import Field, grad_sq_integral, laplacian_matrix
+from .grid import FLOAT_FMT, Field, grad_sq_integral, laplacian_matrix
 from .stepper import Trajectory
 
 __all__ = [
@@ -49,7 +61,8 @@ __all__ = [
     "write_terms_csv",
 ]
 
-FLOAT_FMT = "%.17g"
+# term kinds of a telescoped inequality (see _telescoped)
+RUNNING, ENDPOINT, INITIAL = "running", "endpoint", "initial"
 
 
 @dataclass
@@ -137,23 +150,8 @@ def _functionals(traj: Trajectory) -> _Functionals:
         return float(qw @ (x * x))
 
     n = len(traj.records)
-    out = _Functionals(
-        tau=tau,
-        r=r,
-        M=np.zeros(n),
-        G=np.zeros(n),
-        C=np.zeros(n),
-        S=np.zeros(n),
-        W=np.zeros(n),
-        E=np.zeros(n),
-        wsq=np.zeros(n),
-        gradw=np.zeros(n),
-        lap_u_sq=np.zeros(n),
-        lap_f_sq=np.zeros(n),
-        du_sq=np.zeros(n),
-        dw_sq=np.zeros(n),
-        grad_du=np.zeros(n),
-    )
+    series = {fd.name: np.zeros(n) for fd in fields(_Functionals) if fd.name not in ("tau", "r")}
+    out = _Functionals(tau=tau, r=r, **series)
     for k, rec in enumerate(traj.records):
         u, w = rec.u.values, rec.w.values
         fw = f(w)
@@ -182,101 +180,83 @@ def _functionals(traj: Trajectory) -> _Functionals:
     return out
 
 
-def _worst_truncation(running_sum: np.ndarray, endpoint: np.ndarray) -> int:
-    """Index K >= 1 maximizing running_sum[K] + endpoint[K]."""
-    total = running_sum + endpoint
-    return int(np.argmax(total[1:]) + 1)
+def _telescoped(name: str, tau: float, terms) -> EstimateReport:
+    """Report of one telescoped inequality, declared term by term.
+
+    terms lists (term name, kind, coefficient, per-record series) in report
+    order. A RUNNING term contributes tau * coefficient * series[k] for
+    every step k >= 1 up to the truncation, an ENDPOINT term
+    coefficient * series[K] at the truncation K, and an INITIAL term
+    coefficient * series[0] to the right side. The reported K >= 1 is the
+    one with the largest running sum plus endpoint sum; terms holds every
+    contribution at that K, so its left-side entries add up to lhs (to
+    round-off) and its INITIAL entries to rhs.
+    """
+
+    def weighted_sum(kind):
+        return sum(coef * series for _, term_kind, coef, series in terms if term_kind == kind)
+
+    per_step = weighted_sum(RUNNING)
+    per_step[0] = 0.0
+    running = tau * np.cumsum(per_step)
+    endpoint = weighted_sum(ENDPOINT)
+    K = int(np.argmax((running + endpoint)[1:])) + 1
+
+    def at_K(kind, coef, series):
+        if kind == RUNNING:
+            return tau * coef * series[1 : K + 1].sum()
+        return coef * series[K if kind == ENDPOINT else 0]
+
+    values = {term: at_K(kind, coef, series) for term, kind, coef, series in terms}
+    rhs = sum(values[term] for term, kind, _, _ in terms if kind == INITIAL)
+    return EstimateReport(name, float(running[K] + endpoint[K]), float(rhs), values)
 
 
 def _prop31(fn: _Functionals) -> EstimateReport:
-    tau, r = fn.tau, fn.r
-
-    per_step = (
-        fn.du_sq
-        + fn.lap_f_sq
-        + r**2 * fn.wsq
-        + 2 * r * fn.S
-        + 2 * r**2 * fn.W
-        + 2 * r * fn.gradw
-    )
-    per_step[0] = 0.0
-    running = tau * np.cumsum(per_step)
-    endpoint = 2 * fn.C + r * fn.G + r**2 * fn.M
-    K = _worst_truncation(running, endpoint)
-
-    sl = slice(1, K + 1)
-    terms = {
-        "time_derivative_sq": tau * fn.du_sq[sl].sum(),
-        "laplacian_flux_sq": tau * fn.lap_f_sq[sl].sum(),
-        "reg_w_sq": tau * r**2 * fn.wsq[sl].sum(),
-        "flux_gradient_sq": tau * 2 * r * fn.S[sl].sum(),
-        "reg_w_flux": tau * 2 * r**2 * fn.W[sl].sum(),
-        "w_gradient_sq": tau * 2 * r * fn.gradw[sl].sum(),
-        "energy_endpoint": 2 * fn.C[K],
-        "dirichlet_endpoint": r * fn.G[K],
-        "mass_endpoint": r**2 * fn.M[K],
-        "rhs_energy_initial": 2 * fn.C[0],
-        "rhs_dirichlet_initial": 2 * r * fn.G[0],
-        "rhs_mass_initial": 2 * r**2 * fn.M[0],
-    }
-    lhs = float(running[K] + endpoint[K])
-    rhs = terms["rhs_energy_initial"] + terms["rhs_dirichlet_initial"] + terms["rhs_mass_initial"]
-    return EstimateReport("prop31", lhs, float(rhs), terms)
+    r = fn.r
+    return _telescoped("prop31", fn.tau, [
+        ("time_derivative_sq", RUNNING, 1, fn.du_sq),
+        ("laplacian_flux_sq", RUNNING, 1, fn.lap_f_sq),
+        ("reg_w_sq", RUNNING, r**2, fn.wsq),
+        ("flux_gradient_sq", RUNNING, 2 * r, fn.S),
+        ("reg_w_flux", RUNNING, 2 * r**2, fn.W),
+        ("w_gradient_sq", RUNNING, 2 * r, fn.gradw),
+        ("energy_endpoint", ENDPOINT, 2, fn.C),
+        ("dirichlet_endpoint", ENDPOINT, r, fn.G),
+        ("mass_endpoint", ENDPOINT, r**2, fn.M),
+        ("rhs_energy_initial", INITIAL, 2, fn.C),
+        ("rhs_dirichlet_initial", INITIAL, 2 * r, fn.G),
+        ("rhs_mass_initial", INITIAL, 2 * r**2, fn.M),
+    ])
 
 
 def _prop32(fn: _Functionals) -> EstimateReport:
-    tau, r = fn.tau, fn.r
-
-    per_step = fn.gradw + r * fn.lap_u_sq + 2 * r**2 * fn.G + r**3 * fn.M
-    per_step[0] = 0.0
-    running = tau * np.cumsum(per_step)
-    endpoint = 0.5 * (fn.G + r * fn.M)
-    K = _worst_truncation(running, endpoint)
-
-    sl = slice(1, K + 1)
-    terms = {
-        "dirichlet_endpoint": 0.5 * fn.G[K],
-        "mass_endpoint": 0.5 * r * fn.M[K],
-        "w_gradient_sq": tau * fn.gradw[sl].sum(),
-        "laplacian_u_sq": tau * r * fn.lap_u_sq[sl].sum(),
-        "dirichlet_time_integral": tau * 2 * r**2 * fn.G[sl].sum(),
-        "mass_time_integral": tau * r**3 * fn.M[sl].sum(),
-        "rhs_dirichlet_initial": fn.G[0],
-        "rhs_mass_initial": r * fn.M[0],
-    }
-    lhs = float(running[K] + endpoint[K])
-    rhs = terms["rhs_dirichlet_initial"] + terms["rhs_mass_initial"]
-    return EstimateReport("prop32", lhs, float(rhs), terms)
+    r = fn.r
+    return _telescoped("prop32", fn.tau, [
+        ("dirichlet_endpoint", ENDPOINT, 0.5, fn.G),
+        ("mass_endpoint", ENDPOINT, 0.5 * r, fn.M),
+        ("w_gradient_sq", RUNNING, 1, fn.gradw),
+        ("laplacian_u_sq", RUNNING, r, fn.lap_u_sq),
+        ("dirichlet_time_integral", RUNNING, 2 * r**2, fn.G),
+        ("mass_time_integral", RUNNING, r**3, fn.M),
+        ("rhs_dirichlet_initial", INITIAL, 1, fn.G),
+        ("rhs_mass_initial", INITIAL, r, fn.M),
+    ])
 
 
 def _prop33(fn: _Functionals) -> EstimateReport:
-    tau, r = fn.tau, fn.r
-
-    per_step = 2 * fn.dw_sq + 2 * r * fn.grad_du + 2 * r**2 * fn.du_sq
-    per_step[0] = 0.0
-    running = tau * np.cumsum(per_step)
-    endpoint = fn.du_sq + r * fn.S + 2 * r**2 * fn.E
-    K = _worst_truncation(running, endpoint)
-
-    sl = slice(1, K + 1)
-    terms = {
-        "w_time_derivative_sq": tau * 2 * fn.dw_sq[sl].sum(),
-        "rate_endpoint": fn.du_sq[K],
-        "flux_gradient_endpoint": r * fn.S[K],
-        "w_flux_gap_endpoint": 2 * r**2 * fn.E[K],
-        "rate_gradient_time_integral": tau * 2 * r * fn.grad_du[sl].sum(),
-        "rate_time_integral": tau * 2 * r**2 * fn.du_sq[sl].sum(),
-        "rhs_initial_rate_sq": fn.du_sq[0],
-        "rhs_flux_gradient_initial": r * fn.S[0],
-        "rhs_w_flux_initial": 2 * r**2 * fn.W[0],
-    }
-    lhs = float(running[K] + endpoint[K])
-    rhs = (
-        terms["rhs_initial_rate_sq"]
-        + terms["rhs_flux_gradient_initial"]
-        + terms["rhs_w_flux_initial"]
-    )
-    return EstimateReport("prop33", lhs, float(rhs), terms)
+    r = fn.r
+    return _telescoped("prop33", fn.tau, [
+        ("w_time_derivative_sq", RUNNING, 2, fn.dw_sq),
+        ("rate_endpoint", ENDPOINT, 1, fn.du_sq),
+        ("flux_gradient_endpoint", ENDPOINT, r, fn.S),
+        ("w_flux_gap_endpoint", ENDPOINT, 2 * r**2, fn.E),
+        ("rate_gradient_time_integral", RUNNING, 2 * r, fn.grad_du),
+        ("rate_time_integral", RUNNING, 2 * r**2, fn.du_sq),
+        ("rhs_initial_rate_sq", INITIAL, 1, fn.du_sq),
+        ("rhs_flux_gradient_initial", INITIAL, r, fn.S),
+        ("rhs_w_flux_initial", INITIAL, 2 * r**2, fn.W),
+    ])
 
 
 _REPORTS = {"prop31": _prop31, "prop32": _prop32, "prop33": _prop33}
@@ -430,24 +410,14 @@ def p_variant_energy(traj: Trajectory, p: float) -> EstimateReport:
         Q[k] = -float(qw @ (fw * (lap @ w)))
         wsq[k] = qw @ (w * w)
 
-    per_step = p * (Q + r * wsq)
-    per_step[0] = 0.0
-    running = tau * np.cumsum(per_step)
-    endpoint = phi + 0.5 * p * r * M
-    K = _worst_truncation(running, endpoint)
-
-    sl = slice(1, K + 1)
-    terms = {
-        "p_dirichlet_endpoint": phi[K],
-        "mass_endpoint": 0.5 * p * r * M[K],
-        "flux_gradient_time_integral": tau * p * Q[sl].sum(),
-        "reg_w_sq_time_integral": tau * p * r * wsq[sl].sum(),
-        "rhs_p_dirichlet_initial": phi[0],
-        "rhs_mass_initial": 0.5 * p * r * M[0],
-    }
-    lhs = float(running[K] + endpoint[K])
-    rhs = terms["rhs_p_dirichlet_initial"] + terms["rhs_mass_initial"]
-    return EstimateReport("p_variant_energy", lhs, float(rhs), terms)
+    return _telescoped("p_variant_energy", tau, [
+        ("p_dirichlet_endpoint", ENDPOINT, 1, phi),
+        ("mass_endpoint", ENDPOINT, 0.5 * p * r, M),
+        ("flux_gradient_time_integral", RUNNING, p, Q),
+        ("reg_w_sq_time_integral", RUNNING, p * r, wsq),
+        ("rhs_p_dirichlet_initial", INITIAL, 1, phi),
+        ("rhs_mass_initial", INITIAL, 0.5 * p * r, M),
+    ])
 
 
 def mass_identity_residuals(traj: Trajectory) -> np.ndarray:

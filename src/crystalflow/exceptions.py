@@ -18,17 +18,19 @@ class InvalidCoefficientError(CrystalflowError):
 
 
 class SolverFailure(CrystalflowError):
-    """Linear solver did not reach its residual target.
+    """Linear solver did not reach its residual target, or could not factor.
 
     Attributes:
-        residual: final infinity-norm residual
+        residual: final infinity-norm residual, when one was computed
         iterations: iterations performed
+        step_index: trajectory step index, set by the time loop
     """
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, step_index=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.step_index = step_index
 
 
 class StepFailure(CrystalflowError):

@@ -69,6 +69,37 @@ def cosine_traj():
     return run(u0, SchemeParams(tau=0.01, horizon=0.1))
 
 
+@pytest.fixture(scope="module")
+def p3_traj():
+    grid = Grid(1, (1.0,), (65,))
+    u0 = Field.from_function(grid, lambda x: 0.1 * np.cos(np.pi * x))
+    return run(u0, SchemeParams(tau=0.01, horizon=0.1), make_variant("p_exponent", p=3.0))
+
+
+# the rows of report_terms.csv, per report, in the order they are written
+TERM_LAYOUT = {
+    "prop31": [
+        "time_derivative_sq", "laplacian_flux_sq", "reg_w_sq", "flux_gradient_sq",
+        "reg_w_flux", "w_gradient_sq", "energy_endpoint", "dirichlet_endpoint",
+        "mass_endpoint", "rhs_energy_initial", "rhs_dirichlet_initial", "rhs_mass_initial",
+    ],
+    "prop32": [
+        "dirichlet_endpoint", "mass_endpoint", "w_gradient_sq", "laplacian_u_sq",
+        "dirichlet_time_integral", "mass_time_integral", "rhs_dirichlet_initial",
+        "rhs_mass_initial",
+    ],
+    "prop33": [
+        "w_time_derivative_sq", "rate_endpoint", "flux_gradient_endpoint",
+        "w_flux_gap_endpoint", "rate_gradient_time_integral", "rate_time_integral",
+        "rhs_initial_rate_sq", "rhs_flux_gradient_initial", "rhs_w_flux_initial",
+    ],
+    "p_variant_energy": [
+        "p_dirichlet_endpoint", "mass_endpoint", "flux_gradient_time_integral",
+        "reg_w_sq_time_integral", "rhs_p_dirichlet_initial", "rhs_mass_initial",
+    ],
+}
+
+
 class TestZeroTrajectory:
     """u0 = 0 stays at the vacuum; every inequality is tight there."""
 
@@ -157,12 +188,19 @@ class TestReportStructure:
             assert rep.passed
             assert rep.margin > 0
 
-    def test_terms_sum_to_sides(self, cosine_traj):
-        for rep in standard_reports(cosine_traj):
+    def test_terms_sum_to_sides(self, cosine_traj, p3_traj):
+        for rep in standard_reports(cosine_traj) + [p_variant_energy(p3_traj, 3.0)]:
             lhs_sum = sum(v for k, v in rep.terms.items() if not k.startswith("rhs_"))
             rhs_sum = sum(v for k, v in rep.terms.items() if k.startswith("rhs_"))
             assert lhs_sum == pytest.approx(rep.lhs, rel=1e-12)
             assert rhs_sum == pytest.approx(rep.rhs, rel=1e-12)
+
+    def test_term_layout_of_terms_csv(self, cosine_traj, p3_traj):
+        reports = standard_reports(cosine_traj) + [p_variant_energy(p3_traj, 3.0)]
+        buf = io.StringIO()
+        write_terms_csv(reports, buf)
+        rows = [line.split(",")[:2] for line in buf.getvalue().splitlines()[1:]]
+        assert rows == [[name, term] for name, terms in TERM_LAYOUT.items() for term in terms]
 
     def test_abs_tol_scales_with_rhs(self):
         rep = EstimateReport("x", 1.0, 5.0, {})

@@ -139,6 +139,24 @@ class TestRunExperiment:
         manifest = json.loads((result.directory / "manifest.json").read_text())
         assert manifest["status"] == "FAILED"
 
+    def test_singular_step_factor_fails_with_step_index(self, tmp_path):
+        # max|w0| = 156: the step-1 Schur matrix has entries up to 1.5e74 and
+        # SuperLU finds its factor exactly singular
+        cfg = make_cfg(
+            **{
+                "nodes = 65": "nodes = 33",
+                "profile = cosine\namplitude = 0.1": (
+                    "profile = gaussian_bump\namplitude = 0.2\nwidth = 0.1"
+                ),
+            }
+        )
+        result = run_experiment(cfg, tmp_path)
+        assert result.exit_code == 1
+        assert result.error.startswith("SolverFailure: step 1: ")
+        manifest = json.loads((result.directory / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert manifest["error"] == result.error
+
     def test_functionals_computed_once_per_report_set(self, tmp_path, monkeypatch):
         calls = []
         functionals = estimates._functionals

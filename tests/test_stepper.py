@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from crystalflow import elliptic, stepper
-from crystalflow.config import _random_smooth
+from crystalflow.config import _random_smooth, build_initial_field, parse_config
 from crystalflow.elliptic import solve_helmholtz_neumann
 from crystalflow.exceptions import OverflowCapError, StepFailure
 from crystalflow.grid import (
@@ -328,6 +328,26 @@ class TestNewtonStep:
         ) as exc:
             newton_step(v, params, (u_guess, w_guess))
         assert f"residual {exc.value.residual:.3e}," in str(exc.value)
+
+    def test_iteration_limit_names_limit_and_first_residual(self):
+        """A steady but slow descent (50 x 11 on 3.0 x 0.3, max|w0| = 54.9)
+        stops at the iteration limit and says so; it is not a divergence."""
+        cfg = parse_config(
+            "[grid]\ndim = 2\nnodes = 50,11\nextent = 3.0,0.3\n"
+            "[initial]\nprofile = cosine\namplitude = 0.5\n"
+            "[scheme]\ntau = 0.001\nhorizon = 0.001\n[output]\ndirectory = unused\n"
+        )
+        v = build_initial_field(cfg)
+        with pytest.raises(StepFailure, match=r"^Newton did not reach tolerance: ") as exc:
+            newton_step(v, cfg.scheme, (v, init_w0(v, cfg.scheme)))
+        history = exc.value.residual_history
+        assert len(history) == stepper._NEWTON_MAX_ITER + 1
+        assert np.all(np.diff(history) < 0)
+        assert exc.value.residual == history[-1]
+        assert str(exc.value) == (
+            f"Newton did not reach tolerance: residual {history[-1]:.3e} after the "
+            f"{stepper._NEWTON_MAX_ITER}-iteration limit (first residual {history[0]:.3e})"
+        )
 
     def test_agrees_with_fixed_point(self, grid1d):
         """The map's route and run's route, Newton from the previous pair,
