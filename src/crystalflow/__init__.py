@@ -10,7 +10,6 @@ that underpin the scheme and reports whether each run satisfies them.
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, build_initial_field, config_to_text, parse_config
-from .elliptic import solve_helmholtz_neumann, solve_weighted_helmholtz
 from .estimates import (
     EstimateReport,
     continuum_monitors,
@@ -48,8 +47,6 @@ __all__ = [
     "parse_config",
     "config_to_text",
     "build_initial_field",
-    "solve_helmholtz_neumann",
-    "solve_weighted_helmholtz",
     "EstimateReport",
     "cosh_energy",
     "verify_prop31",

@@ -11,6 +11,11 @@ directory and prints them in the reports.csv format, so on a clean run
 with snapshot_stride = 1 its output equals that file byte for byte. It
 exits 1 when a report fails or the directory cannot be read.
 
+An argument no run can start from (an unreadable config path, an unknown
+sweep parameter or variant, a sweep value that is not a number or does not
+divide the horizon) exits 2 with one "error: ..." line, before any run
+directory is written.
+
 The CRYSTALFLOW_OUTPUT_ROOT environment variable, when set, is prepended
 to every configured output directory.
 """
@@ -24,7 +29,7 @@ from pathlib import Path
 
 from .config import parse_config
 from .estimates import write_reports_csv
-from .exceptions import ConfigError, CrystalflowError
+from .exceptions import ArgumentError, ConfigError, CrystalflowError
 from .experiment import compare_variants, run_experiment, sweep, verify_run
 
 OUTPUT_ROOT_ENV = "CRYSTALFLOW_OUTPUT_ROOT"
@@ -37,7 +42,11 @@ def _output_root(args):
 
 
 def _load_config(path: str):
-    return parse_config(Path(path).read_bytes())
+    try:
+        data = Path(path).read_bytes()
+    except OSError as err:
+        raise ArgumentError(f"cannot read config {path}: {err.strerror}") from None
+    return parse_config(data)
 
 
 def _cmd_run(args) -> int:
@@ -59,12 +68,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    values = [float(v) for v in args.values]
-    results = sweep(cfg, args.param, values, output_root=_output_root(args))
+    results = sweep(cfg, args.param, args.values, output_root=_output_root(args))
     worst = max(r.exit_code for r in results)
-    for value, result in zip(values, results):
+    for value, result in zip(args.values, results):
         state = "ok" if result.ok else "FAILED"
-        print(f"{args.param} = {value:g}: {state} ({result.directory})")
+        print(f"{args.param} = {float(value):g}: {state} ({result.directory})")
     return worst
 
 
@@ -121,6 +129,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
+        return 2
+    except ArgumentError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except CrystalflowError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,23 +13,15 @@ class InvalidExponentError(CrystalflowError):
     """Raised for p-Laplacian exponents outside the supported range p >= 2."""
 
 
-class InvalidCoefficientError(CrystalflowError):
-    """Raised when a diffusion weight violates its lower bound."""
-
-
 class SolverFailure(CrystalflowError):
-    """Linear solver did not reach its residual target, or could not factor.
+    """SuperLU could not factor a step's sparse system (elliptic.lu_factor).
 
     Attributes:
-        residual: final infinity-norm residual, when one was computed
-        iterations: iterations performed
         step_index: trajectory step index, set by the time loop
     """
 
-    def __init__(self, message, residual=None, iterations=None, step_index=None):
+    def __init__(self, message, step_index=None):
         super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
         self.step_index = step_index
 
 
@@ -83,6 +75,11 @@ class ConfigError(CrystalflowError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(self.violations))
+
+
+class ArgumentError(CrystalflowError, ValueError):
+    """A value handed to a sweep, a comparison or the command line cannot be
+    run: an unknown name, a bad number, or an unreadable config path."""
 
 
 class InvalidInputError(CrystalflowError):

@@ -29,7 +29,7 @@ from .estimates import (
     write_reports_csv,
     write_terms_csv,
 )
-from .exceptions import CrystalflowError
+from .exceptions import ArgumentError, CrystalflowError
 from .grid import FLOAT_FMT, load_field, save_field
 from .stepper import StepRecord, Trajectory, run
 
@@ -206,14 +206,17 @@ def _run_for_value(args):
     return run_experiment(cfg, output_root)
 
 
-def _with_param(cfg: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
-    if param == "tau":
-        scheme = dataclasses.replace(cfg.scheme, tau=value)
-    elif param == "reg_eps":
-        scheme = dataclasses.replace(cfg.scheme, reg_eps=value)
-    else:
-        raise ValueError(f"unsupported sweep parameter {param!r}; use tau or reg_eps")
-    return dataclasses.replace(cfg, scheme=scheme)
+def _with_param(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
+    """cfg with param set to value, writing to the subdirectory <param>_<value>."""
+    if param not in ("tau", "reg_eps"):
+        raise ArgumentError(f"unsupported sweep parameter {param!r}; use tau or reg_eps")
+    try:
+        value = float(value)
+        scheme = dataclasses.replace(cfg.scheme, **{param: value})
+    except ValueError as err:
+        raise ArgumentError(f"sweep value {value!r}: {err}") from None
+    output = dataclasses.replace(cfg.output, directory=f"{param}_{value:g}")
+    return dataclasses.replace(cfg, scheme=scheme, output=output)
 
 
 def _final_l2_diff(a: Trajectory, b: Trajectory) -> float:
@@ -234,20 +237,14 @@ def sweep(
     Each value gets its own subdirectory <param>_<value>. The summary CSV
     lists, per consecutive pair of runs, the final-time L2 difference and
     the observed order log2 of the ratio of successive differences, which
-    is the self-convergence rate when values halve.
+    is the self-convergence rate when values halve. Every value is checked
+    before the first run starts; a bad one raises ArgumentError.
     """
-    values = [float(v) for v in values]
+    sub_cfgs = [_with_param(cfg, param, value) for value in values]
+    values = [getattr(sub_cfg.scheme, param) for sub_cfg in sub_cfgs]
     root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
     root.mkdir(parents=True, exist_ok=True)
-
-    jobs = []
-    for value in values:
-        sub_cfg = _with_param(cfg, param, value)
-        sub_cfg = dataclasses.replace(
-            sub_cfg,
-            output=dataclasses.replace(sub_cfg.output, directory=f"{param}_{value:g}"),
-        )
-        jobs.append((sub_cfg, root))
+    jobs = [(sub_cfg, root) for sub_cfg in sub_cfgs]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -280,18 +277,21 @@ def compare_variants(
 
     Produces a comparison CSV with the exponent sup-norm series of every
     variant aligned on t_k. Per-variant failures are recorded without
-    aborting the remaining variants.
+    aborting the remaining variants. Every name is resolved before the first
+    run starts; an unknown kind, or one that needs a parameter, raises
+    ArgumentError.
     """
     from .nonlinearity import make_variant
 
+    resolved = {name: make_variant(name) for name in variants}
     root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
     root.mkdir(parents=True, exist_ok=True)
 
     results = {}
-    for name in variants:
+    for name, variant in resolved.items():
         sub_cfg = dataclasses.replace(
             cfg,
-            variant=make_variant(name),
+            variant=variant,
             output=dataclasses.replace(cfg.output, directory=f"variant_{name}"),
         )
         results[name] = run_experiment(sub_cfg, root)

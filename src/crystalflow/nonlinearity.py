@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import OverflowCapError
+from .exceptions import ArgumentError, OverflowCapError
 
 __all__ = [
     "Variant",
@@ -33,8 +33,6 @@ class Variant:
 
     Attributes:
         name: stable identifier used in configs and reports
-        coefficient_floor: guaranteed lower bound of f' (1 for the sinh
-            family, 0 for exp where cosh-like control is unavailable)
         hyperbolic: True when f is odd with f' >= 1, i.e. the structure the
             discrete energy estimates require
         p: p-Laplacian exponent when the variant replaces -Laplacian u by
@@ -44,7 +42,6 @@ class Variant:
     """
 
     name: str
-    coefficient_floor: float
     hyperbolic: bool
     p: float | None = None
     arg_scale: float = 1.0
@@ -100,20 +97,18 @@ class Variant:
 
 
 def sinh_variant() -> Variant:
-    return Variant(name="sinh", coefficient_floor=1.0, hyperbolic=True)
+    return Variant(name="sinh", hyperbolic=True)
 
 
 def exp_variant() -> Variant:
-    return Variant(name="exp", coefficient_floor=0.0, hyperbolic=False)
+    return Variant(name="exp", hyperbolic=False)
 
 
 def scaled_sinh_variant(k: float, normalized: bool = True) -> Variant:
     if k <= 0:
         raise ValueError(f"scale K must be positive, got {k}")
-    floor = 1.0 if normalized else float(k)
     return Variant(
         name="scaled_sinh",
-        coefficient_floor=floor,
         hyperbolic=normalized,
         arg_scale=float(k),
         normalized=normalized,
@@ -123,15 +118,22 @@ def scaled_sinh_variant(k: float, normalized: bool = True) -> Variant:
 def p_exponent_variant(p: float) -> Variant:
     if p < 2:
         raise ValueError(f"p-Laplacian exponent must satisfy p >= 2, got {p}")
-    return Variant(name="p_exponent", coefficient_floor=1.0, hyperbolic=True, p=float(p))
+    return Variant(name="p_exponent", hyperbolic=True, p=float(p))
 
 
 def linear_variant() -> Variant:
     """f(s) = s; the K -> 0 limit used as the reference in scaled-sinh sweeps."""
-    return Variant(name="linear", coefficient_floor=1.0, hyperbolic=False)
+    return Variant(name="linear", hyperbolic=False)
+
+
+# the parameter each parametrized kind cannot be built without
+_REQUIRED_PARAM = {"scaled_sinh": "K", "p_exponent": "p"}
 
 
 def make_variant(kind: str, **kwargs) -> Variant:
+    needed = _REQUIRED_PARAM.get(kind)
+    if needed is not None and needed not in kwargs:
+        raise ArgumentError(f"variant kind {kind!r} needs its parameter {needed}")
     if kind == "sinh":
         return sinh_variant()
     if kind == "exp":
@@ -142,4 +144,4 @@ def make_variant(kind: str, **kwargs) -> Variant:
         return p_exponent_variant(kwargs["p"])
     if kind == "linear":
         return linear_variant()
-    raise ValueError(f"unknown variant kind {kind!r}")
+    raise ArgumentError(f"unknown variant kind {kind!r}")

@@ -201,6 +201,26 @@ def _solve_exponent_problem(
     )
 
 
+def _stencil_residuals(
+    grid: Grid,
+    tau: float,
+    tau_reg: float,
+    v: np.ndarray,
+    u: np.ndarray,
+    w: np.ndarray,
+    variant: Variant,
+    cap: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the two step equations at (u, w), stepping from v.
+
+    Raises OverflowCapError first when w exceeds the cap.
+    """
+    variant.check_cap(w, cap)
+    r1 = (u - v) / tau - laplacian_matrix(grid) @ variant.f(w) + tau_reg * w
+    r2 = _apply_exponent_op(grid, tau_reg, u, variant) - w
+    return r1, r2
+
+
 def _step_residual(
     grid: Grid,
     tau: float,
@@ -211,10 +231,8 @@ def _step_residual(
     variant: Variant,
     cap: float,
 ) -> float:
-    variant.check_cap(w, cap)
-    lap = laplacian_matrix(grid)
-    r1 = (u - v) / tau - lap @ variant.f(w) + tau_reg * w
-    r2 = _apply_exponent_op(grid, tau_reg, u, variant) - w
+    """Sup-norm of both stencil residuals."""
+    r1, r2 = _stencil_residuals(grid, tau, tau_reg, v, u, w, variant, cap)
     return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
 
@@ -341,9 +359,7 @@ def newton_step(
     w = guess[1].values.copy()
 
     def residual_vec(uu, ww):
-        variant.check_cap(ww, cap)
-        r1 = (uu - v.values) / tau - lap @ variant.f(ww) + tau_reg * ww
-        r2 = _apply_exponent_op(grid, tau_reg, uu, variant) - ww
+        r1, r2 = _stencil_residuals(grid, tau, tau_reg, v.values, uu, ww, variant, cap)
         return np.concatenate([r1, r2])
 
     r = residual_vec(u, w)

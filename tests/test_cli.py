@@ -60,6 +60,18 @@ class TestRunCommand:
         assert code == 1
         assert "failed" in capsys.readouterr().err
 
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        code = main(["--output-root", str(tmp_path / "out"), "run", str(tmp_path / "nosuch.cfg")])
+        assert code == 2
+        _assert_one_error_line(capsys.readouterr().err, "nosuch.cfg")
+        assert not (tmp_path / "out").exists()
+
+
+def _assert_one_error_line(err, bad_value):
+    """A rejected argument prints one "error: ..." line naming it, no traceback."""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert bad_value in err
+
 
 # config edits giving run kinds whose reports differ: all three, a subset in
 # the configured order, the p-variant dissipation law, and none for exp
@@ -153,6 +165,24 @@ class TestSweepCommand:
         assert (tmp_path / "sweep_summary.csv").exists()
         assert "tau = 0.01: ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "args, bad_value",
+        [
+            (["--param", "foo", "--values", "0.01"], "foo"),
+            # 0.007 does not divide the horizon 0.05
+            (["--values", "0.01", "0.007"], "0.007"),
+            (["--values", "0.01", "abc"], "abc"),
+        ],
+        ids=["param", "not-dividing", "not-a-number"],
+    )
+    def test_bad_argument_exit_2_before_any_run(
+        self, args, bad_value, config_path, tmp_path, capsys
+    ):
+        root = tmp_path / "out"
+        assert main(["--output-root", str(root), "sweep", config_path, *args]) == 2
+        _assert_one_error_line(capsys.readouterr().err, bad_value)
+        assert not root.exists()
+
 
 class TestCompareCommand:
     def test_compare_variants(self, config_path, tmp_path, capsys):
@@ -163,3 +193,11 @@ class TestCompareCommand:
         assert (tmp_path / "variant_comparison.csv").exists()
         out = capsys.readouterr().out
         assert "sinh: ok" in out and "exp: ok" in out
+
+    @pytest.mark.parametrize("bad_value", ["tanh", "scaled_sinh"])
+    def test_bad_variant_exit_2_before_any_run(self, bad_value, config_path, tmp_path, capsys):
+        root = tmp_path / "out"
+        args = ["compare", config_path, "--variants", f"sinh,{bad_value}"]
+        assert main(["--output-root", str(root), *args]) == 2
+        _assert_one_error_line(capsys.readouterr().err, bad_value)
+        assert not root.exists()

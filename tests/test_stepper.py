@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from crystalflow import elliptic, stepper
 from crystalflow.config import _random_smooth, build_initial_field, parse_config
-from crystalflow.elliptic import solve_helmholtz_neumann
+from crystalflow.elliptic import helmholtz_matrix, lu_factor
 from crystalflow.exceptions import OverflowCapError, StepFailure
 from crystalflow.grid import (
     Field,
@@ -186,6 +186,11 @@ def _tail_slopes(hist):
     return [np.log(b) / np.log(a) for a, b in zip(hist[-3:-1], hist[-2:]) if a < 1e-2]
 
 
+def _helmholtz_solve(grid, tau_reg, rhs):
+    """u with (-Laplacian + tau' I) u = rhs, through the step's own LU."""
+    return Field(grid, lu_factor(helmholtz_matrix(grid, tau_reg)).solve(rhs.values))
+
+
 class TestNewtonStep:
     def test_constant_mode(self, grid1d):
         params = SchemeParams(tau=0.5, horizon=1.0)
@@ -207,7 +212,7 @@ class TestNewtonStep:
         params = SchemeParams(tau=0.01, horizon=0.1)
         v = _random_smooth(grid1d, 0.3, seed=14)
         w_guess = init_w0(v, params)
-        u_guess, _ = solve_helmholtz_neumann(grid1d, params.reg_weight, w_guess)
+        u_guess = _helmholtz_solve(grid1d, params.reg_weight, w_guess)
         _, _, diag = newton_step(v, params, (u_guess, w_guess))
         hist = [r for r in diag.residual_history if r > 1e-14]
         slopes = [
@@ -223,7 +228,7 @@ class TestNewtonStep:
         params = SchemeParams(tau=1e-3, horizon=0.01)
         v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
         w_guess = init_w0(v, params)
-        u_guess, _ = solve_helmholtz_neumann(grid, params.reg_weight, w_guess)
+        u_guess = _helmholtz_solve(grid, params.reg_weight, w_guess)
         u, w, diag = newton_step(v, params, (u_guess, w_guess))
         assert diag.residual_inf <= params.picard_tol
         # here the last iterate lands below one unit of round-off of the
@@ -321,7 +326,7 @@ class TestNewtonStep:
         params = SchemeParams(tau=0.01, horizon=0.1, picard_tol=1e-300)
         v = _random_smooth(grid1d, 0.3, seed=14)
         w_guess = init_w0(v, params)
-        u_guess, _ = solve_helmholtz_neumann(grid1d, params.reg_weight, w_guess)
+        u_guess = _helmholtz_solve(grid1d, params.reg_weight, w_guess)
         with pytest.raises(
             StepFailure,
             match=r"^Newton line search stagnated: residual \S+, smallest step tried \S+$",
