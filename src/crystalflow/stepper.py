@@ -10,11 +10,29 @@ to the timestep by default, or an independent epsilon when decoupled for
 convergence studies).
 
 Each step is one Newton solve of the coupled residual with a halving line
-search, started from the previous step's pair (u, w). Every Newton
-iteration eliminates the w-update through the second equation and factors
-only the n x n system left for the u-update. Every sparse system of the
-step goes through elliptic.lu_factor: SuperLU's minimum-degree ordering on
-A + A^T (MMD_AT_PLUS_A) in symmetric mode, diagonal pivot threshold 1e-3.
+search, started from the previous step's pair (u, w). Only the linear solve
+for each Newton direction depends on the variant; there are two paths.
+
+- sinh and normalized scaled_sinh (f' >= 1, linear second equation): the
+  u-update is eliminated through u = B^-1 w, B = -Laplacian + tau' I, and
+  the w-update is split into its quadrature mean, which has a closed form,
+  and a mean-zero part. Symmetrized by the pseudo-inverse of -Laplacian, the
+  system for the mean-zero part is K + P diag(f'(w)), self-adjoint and
+  positive definite in the trapezoid inner product, with
+  K = (-Laplacian)^+ (B^-1/tau + tau' I). Since f' >= 1, Jacobi
+  preconditioning bounds its condition number by
+  1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue of
+  -Laplacian), about 11 at tau = 1e-3 on the unit box, whatever h or
+  max f'; so PCG takes a few iterations per direction on any grid. B^-1 and
+  (-Laplacian)^+ are applied through two LU factors made once per grid and
+  tau', and no matrix is factored per iteration.
+- exp, the p-variant and linear: the w-update is eliminated through the
+  second equation and the n x n Schur matrix left for the u-update is
+  factored afresh each iteration.
+
+Every sparse factorization goes through elliptic.lu_factor: SuperLU's
+minimum-degree ordering on A + A^T (MMD_AT_PLUS_A) in symmetric mode,
+diagonal pivot threshold 1e-3.
 
 The damped fixed-point map (fixed_point_step) is off the run path. It
 remains, with the helpers only it reaches, until the benchmark stops
@@ -30,7 +48,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elliptic import helmholtz_matrix, lu_factor, weighted_helmholtz_matrix
+from .elliptic import (
+    helmholtz_matrix,
+    lu_factor,
+    pinned_laplacian_matrix,
+    weighted_helmholtz_matrix,
+)
 from .exceptions import OverflowCapError, SolverFailure, StepFailure, UnsupportedDimensionError
 from .grid import Field, Grid, laplacian_matrix, p_laplacian_1d, p_laplacian_jacobian_1d
 from .nonlinearity import Variant, sinh_variant
@@ -92,10 +115,14 @@ class SchemeParams:
 
 @dataclass
 class StepDiagnostics:
+    """What a step's solver did. cg_iters holds the PCG iterations of each
+    Newton direction on the hyperbolic path and is empty on the LU path."""
+
     picard_iters: int
     newton_used: bool
     residual_inf: float
     residual_history: list = field(default_factory=list)
+    cg_iters: list = field(default_factory=list)
 
 
 @dataclass
@@ -122,11 +149,41 @@ class Trajectory:
         return self.params.tau * np.arange(len(self.records))
 
 
+@dataclass(frozen=True)
+class _StepOperators:
+    """The constant matrices of the Newton Jacobian for one grid, tau and
+    tau': -Laplacian, B = -Laplacian + tau' I, I/tau and tau' I."""
+
+    neg_lap: sp.csr_matrix
+    block_uu: sp.csr_matrix
+    eye_tau: sp.csr_matrix
+    reg_eye: sp.csr_matrix
+
+
+@lru_cache(maxsize=16)
+def _step_operators(grid: Grid, tau: float, tau_reg: float) -> _StepOperators:
+    eye = sp.identity(grid.num_nodes, format="csr")
+    return _StepOperators(
+        neg_lap=-laplacian_matrix(grid),
+        block_uu=helmholtz_matrix(grid, tau_reg),
+        eye_tau=eye / tau,
+        reg_eye=tau_reg * eye,
+    )
+
+
 @lru_cache(maxsize=16)
 def _helmholtz_factor(grid: Grid, tau_reg: float):
-    """LU of -Laplacian + tau' I. Only fixed_point_step reaches it; it
-    remains until the benchmark change of ROADMAP item 2."""
+    """LU of B = -Laplacian + tau' I, made once per grid and tau'. The sinh
+    Newton direction applies B^-1 through it, and so does the fixed-point
+    map's u-solve."""
     return lu_factor(helmholtz_matrix(grid, tau_reg))
+
+
+@lru_cache(maxsize=16)
+def _pinned_laplacian_factor(grid: Grid):
+    """LU of -Laplacian with node 0 pinned, made once per grid; see
+    _neg_lap_pinv."""
+    return lu_factor(pinned_laplacian_matrix(grid))
 
 
 _PICARD_MAX_ITER = 200
@@ -323,6 +380,114 @@ def fixed_point_step(
 # last residual, so a slow descent is told apart from a divergence.
 _NEWTON_MAX_ITER = 60
 
+# PCG of the hyperbolic Newton direction stops when its preconditioned
+# residual norm has fallen by _CG_RTOL. Since K + diag(f') >= diag(f'), that
+# bounds the relative energy-norm error of the direction by
+# sqrt(cond) * _CG_RTOL, with cond <= 1 + 1/(tau mu_1^2) + tau'/mu_1 (about
+# 11 at tau = 1e-3 on the unit box, 4-9 iterations per direction). The cap
+# covers a condition number near 7e3; a direction that reaches it is still
+# the best iterate in that norm and goes to the line search as it is.
+_CG_RTOL = 1e-10
+_CG_MAX_ITER = 1000
+
+
+def _lu_direction(grid: Grid, ops: _StepOperators, variant: Variant, u, w, r1, r2):
+    """Newton direction from the factored Schur matrix of the u-update.
+
+    The w-row of the Jacobian gives dw = B du + r2, which leaves the n x n
+    system (I/tau + A B) du = -r1 - A r2, A = -Laplacian diag(f'(w)) + tau' I.
+    """
+    if variant.p is None:
+        block_uu = ops.block_uu
+    else:
+        block_uu = -p_laplacian_jacobian_1d(Field(grid, u), variant.p) + ops.reg_eye
+    # -Laplacian diag(f') by scaling the stored entries of each column
+    neg_lap = ops.neg_lap
+    scaled = neg_lap.data * variant.df(w)[neg_lap.indices]
+    block_uw = sp.csr_matrix((scaled, neg_lap.indices, neg_lap.indptr), shape=neg_lap.shape)
+    block_uw = block_uw + ops.reg_eye
+    schur = ops.eye_tau + block_uw @ block_uu
+    du = lu_factor(schur).solve(-r1 - block_uw @ r2)
+    dw = block_uu @ du + r2
+    return du, dw
+
+
+def _neg_lap_pinv(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """(-Laplacian)^+ x: the quadrature-mean-zero solution for the
+    mean-zero part of x, through the pinned factor."""
+    rhs = _remove_mean(grid, x)
+    rhs[0] = 0.0
+    return _remove_mean(grid, _pinned_laplacian_factor(grid).solve(rhs))
+
+
+def _remove_mean(grid: Grid, x: np.ndarray) -> np.ndarray:
+    q = grid.quad_weights()
+    return x - (q @ x) / q.sum()
+
+
+def _pcg_direction(grid: Grid, tau: float, tau_reg: float, variant: Variant, w, r1, r2):
+    """Newton direction by eliminating du and solving for dw with PCG.
+
+    The u-row gives du = B^-1 (dw - r2), leaving J_w dw = g with
+    J_w = B^-1/tau + tau' I - Laplacian diag(f'(w)) and g = -r1 + B^-1 r2/tau.
+    The quadrature mean of J_w dw is mean(dw) (1/(tau' tau) + tau'), which
+    fixes the mean m of dw. Applying (-Laplacian)^+ to the rest leaves, for
+    the mean-zero part z, the system
+    (K + P diag(f')) z = (-Laplacian)^+ g - m P f'
+    with K = (-Laplacian)^+ (B^-1/tau + tau' I) and P the removal of the
+    mean; it is self-adjoint and positive definite in the quadrature inner
+    product. Returns du, dw and the number of PCG iterations; a direction
+    whose arithmetic overflows or is not finite raises SolverFailure.
+    """
+    q = grid.quad_weights()
+    b_solve = _helmholtz_factor(grid, tau_reg).solve
+    d = variant.df(w)
+
+    def apply(z):
+        return _neg_lap_pinv(grid, b_solve(z) / tau + tau_reg * z) + _remove_mean(grid, d * z)
+
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            g = -r1 + b_solve(r2) / tau
+            m = (q @ g) / q.sum() / (1.0 / (tau_reg * tau) + tau_reg)
+            z, iters = _pcg(apply, _neg_lap_pinv(grid, g) - m * _remove_mean(grid, d), d, grid)
+            dw = m + z
+            du = b_solve(dw - r2)
+        if not (np.isfinite(du).all() and np.isfinite(dw).all()):
+            raise FloatingPointError("non-finite entries")
+    except FloatingPointError as err:
+        raise SolverFailure(
+            f"PCG Newton direction is not finite ({err}); max f'(w) = {d.max():.3e}"
+        ) from err
+    return du, dw, iters
+
+
+def _pcg(apply, b: np.ndarray, d: np.ndarray, grid: Grid):
+    """Jacobi-preconditioned CG on the quadrature-mean-zero fields.
+
+    Conjugate in the trapezoid inner product, preconditioned by diag(d)^-1
+    followed by the removal of the mean. Returns the iterate and the number
+    of iterations taken.
+    """
+    q = grid.quad_weights()
+    x = np.zeros_like(b)
+    r = b
+    s = _remove_mean(grid, r / d)
+    rs = q @ (r * s)
+    stop = _CG_RTOL**2 * rs
+    p = s
+    for k in range(_CG_MAX_ITER):
+        if rs <= stop:
+            return x, k
+        ap = apply(p)
+        alpha = rs / (q @ (p * ap))
+        x = x + alpha * p
+        r = r - alpha * ap
+        s = _remove_mean(grid, r / d)
+        rs, rs_prev = q @ (r * s), rs
+        p = s + (rs / rs_prev) * p
+    return x, _CG_MAX_ITER
+
 
 def newton_step(
     v: Field,
@@ -333,27 +498,35 @@ def newton_step(
     """One implicit step via Newton on the coupled residual, with line search.
 
     With residuals r1, r2 of the two equations, the Jacobian has the blocks
-    [[I/tau, A], [B, -I]], where A = block_uw = -Laplacian diag(f'(w)) + tau' I
-    and B = block_uu = -Laplacian + tau' I, which elliptic.helmholtz_matrix
-    assembles once per step (minus the p-Laplacian's Jacobian, plus tau' I,
-    rebuilt every iteration for the p-variant). Its w-row gives
-    dw = B du + r2, which leaves the n x n system
-    (I/tau + A B) du = -r1 - A r2. That matrix has a structurally symmetric
-    pattern and a large positive diagonal, so it is factored afresh each
-    iteration by lu_factor: MMD_AT_PLUS_A ordering in symmetric mode,
-    diagonal pivot threshold 1e-3. On the step-1 matrix of a cosine start
-    (amplitude 0.5, tau = 1e-3) that leaves 0.43M L+U nonzeros at 65 x 65
-    and 2.28M at 129 x 129, against 0.50M and 3.19M under the same ordering
-    with partial pivoting, and it factors about twice as fast as COLAMD on
-    the same matrix or on the 2n x 2n block.
+    [[I/tau, A], [B, -I]], where A = -Laplacian diag(f'(w)) + tau' I and
+    B = -Laplacian + tau' I (minus the p-Laplacian's Jacobian, plus tau' I,
+    rebuilt every iteration for the p-variant). The step's constant
+    matrices come from a cache per grid, tau and tau'. Each direction is
+    found on one of two paths:
+
+    - Hyperbolic variants with a linear B (sinh and normalized scaled_sinh,
+      f' >= 1): _pcg_direction eliminates du and solves for dw. The mean of
+      dw has a closed form; its mean-zero part comes from Jacobi PCG on
+      K + P diag(f'(w)), applying B^-1 and (-Laplacian)^+ through two LU
+      factors made once per grid and tau'. Because f' >= 1, the
+      preconditioned condition number is at most
+      1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue
+      of -Laplacian) whatever h or max f', so the PCG iterations per
+      direction do not grow with the grid.
+    - exp, the p-variant and linear: _lu_direction factors the Schur matrix
+      I/tau + A B of the u-update afresh each iteration with lu_factor
+      (MMD_AT_PLUS_A ordering in symmetric mode, diagonal pivot threshold
+      1e-3).
+
+    A PCG direction whose arithmetic overflows raises SolverFailure.
     """
     variant = variant or sinh_variant()
     grid = v.grid
     tau, tau_reg, cap = params.tau, params.reg_weight, params.sinh_arg_cap
     tol = params.picard_tol
     n = grid.num_nodes
-    lap = laplacian_matrix(grid)
-    eye = sp.identity(n, format="csr")
+    pcg_path = variant.hyperbolic and variant.p is None
+    ops = None if pcg_path else _step_operators(grid, tau, tau_reg)
 
     u = guess[0].values.copy()
     w = guess[1].values.copy()
@@ -365,18 +538,16 @@ def newton_step(
     r = residual_vec(u, w)
     res = np.abs(r).max()
     history = [float(res)]
-    if variant.p is None:
-        block_uu = helmholtz_matrix(grid, tau_reg)
+    cg_iters = []
 
     for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
             break
-        if variant.p is not None:
-            block_uu = -p_laplacian_jacobian_1d(Field(grid, u), variant.p) + tau_reg * eye
-        block_uw = -lap @ sp.diags(variant.df(w)) + tau_reg * eye
-        schur = eye / tau + block_uw @ block_uu
-        du = lu_factor(schur).solve(-r[:n] - block_uw @ r[n:])
-        dw = block_uu @ du + r[n:]
+        if pcg_path:
+            du, dw, its = _pcg_direction(grid, tau, tau_reg, variant, w, r[:n], r[n:])
+            cg_iters.append(its)
+        else:
+            du, dw = _lu_direction(grid, ops, variant, u, w, r[:n], r[n:])
         lam = 1.0
         while lam >= 1e-8:
             u_try = u + lam * du
@@ -410,7 +581,7 @@ def newton_step(
 
     # the converged w must genuinely respect the cap, not just the trials
     variant.check_cap(w, cap)
-    diag = StepDiagnostics(0, True, float(res), history)
+    diag = StepDiagnostics(0, True, float(res), history, cg_iters)
     return Field(grid, u), Field(grid, w), diag
 
 

@@ -140,14 +140,16 @@ class TestRunExperiment:
         assert manifest["status"] == "FAILED"
 
     def test_singular_step_factor_fails_with_step_index(self, tmp_path):
-        # max|w0| = 156: the step-1 Schur matrix has entries up to 1.5e74 and
-        # SuperLU finds its factor exactly singular
+        # exp factors a Schur matrix every Newton iteration. At max|w0| = 156
+        # the step-1 Schur matrix has entries up to 3.0e74 and SuperLU finds
+        # its factor exactly singular
         cfg = make_cfg(
             **{
                 "nodes = 65": "nodes = 33",
                 "profile = cosine\namplitude = 0.1": (
                     "profile = gaussian_bump\namplitude = 0.2\nwidth = 0.1"
                 ),
+                "[output]": "[variant]\nkind = exp\n\n[output]",
             }
         )
         result = run_experiment(cfg, tmp_path)

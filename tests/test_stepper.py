@@ -7,8 +7,8 @@ import scipy.sparse.linalg as spla
 
 from crystalflow import elliptic, stepper
 from crystalflow.config import _random_smooth, build_initial_field, parse_config
-from crystalflow.elliptic import helmholtz_matrix, lu_factor
-from crystalflow.exceptions import OverflowCapError, StepFailure
+from crystalflow.elliptic import helmholtz_matrix, lu_factor, pinned_laplacian_matrix
+from crystalflow.exceptions import OverflowCapError, SolverFailure, StepFailure
 from crystalflow.grid import (
     Field,
     Grid,
@@ -246,15 +246,17 @@ class TestNewtonStep:
         assert slopes and min(slopes) >= 1.8
 
     def test_symmetric_mode_factor_on_step_one(self, monkeypatch):
-        """The Newton systems that fixed_point_step's fallback solves on step 1
-        of a 65 x 65 cosine start: one fresh factor per iteration, less fill
-        than the same ordering with partial pivoting, and the solutions of
-        spsolve under that ordering. These are not the systems run takes,
-        whose Newton starts from the previous pair; the first two of those
-        have a condition estimate near 1.6e10, too large to decide a 1e-9
-        forward match."""
+        """The Schur systems that fixed_point_step's Newton fallback solves on
+        step 1 of a 65 x 65 cosine start under exp, the variant whose
+        directions still come from a factored Schur matrix: one fresh factor
+        per iteration, less fill than the same ordering with partial
+        pivoting, and the solutions of spsolve under that ordering. These are
+        not the systems run takes, whose Newton starts from the previous
+        pair; under sinh the first two of those have a condition estimate
+        near 1.6e10, too large to decide a 1e-9 forward match."""
         grid = Grid(2, (1.0, 1.0), (65, 65))
         params = SchemeParams(tau=1e-3, horizon=0.01)
+        variant = exp_variant()
         v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
         systems = []
 
@@ -271,7 +273,7 @@ class TestNewtonStep:
             return newton_step(*args, **kwargs)
 
         monkeypatch.setattr(stepper, "newton_step", recording_newton_step)
-        _, _, diag = fixed_point_step(v, params, init_w0(v, params))
+        _, _, diag = fixed_point_step(v, params, init_w0(v, params, variant), variant)
         assert diag.newton_used
         assert len(systems) == len(diag.residual_history) - 1 > 0
 
@@ -284,26 +286,31 @@ class TestNewtonStep:
 
     def test_pinned_iteration_counts_2d(self, monkeypatch):
         """Five chained steps on 33 x 33 (cosine amplitude 0.5, tau 1e-3) take
-        the Newton iterations of the partial-pivoting solve, one factor each."""
+        the Newton iterations of the partial-pivoting solve. No Schur matrix
+        is factored: the only factors made are the two cached ones, of B and
+        of the pinned -Laplacian, once each."""
         grid = Grid(2, (1.0, 1.0), (33, 33))
         params = SchemeParams(tau=1e-3, horizon=0.005)
         v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
         w = init_w0(v, params)
-        factors = []
+        stepper._helmholtz_factor.cache_clear()
+        stepper._pinned_laplacian_factor.cache_clear()
+        factored = []
 
         def counting_factor(mat):
-            factors.append(mat.shape)
+            factored.append(mat)
             return elliptic.lu_factor(mat)
 
         monkeypatch.setattr(stepper, "lu_factor", counting_factor)
-        iters, num_factors = [], []
+        iters = []
         for _ in range(5):
-            factors.clear()
             v, w, diag = newton_step(v, params, (v, w))
             iters.append(len(diag.residual_history) - 1)
-            num_factors.append(len(factors))
         assert iters == [12, 5, 5, 4, 4]
-        assert num_factors == iters
+        cached = [helmholtz_matrix(grid, params.reg_weight), pinned_laplacian_matrix(grid)]
+        assert len(factored) <= 2
+        for mat in factored:
+            assert any(mat.shape == c.shape and (mat != c).nnz == 0 for c in cached)
 
     def test_p_variant(self, grid1d):
         """Newton called directly on the p = 3 variant, whose u-block is the
@@ -335,11 +342,12 @@ class TestNewtonStep:
         assert f"residual {exc.value.residual:.3e}," in str(exc.value)
 
     def test_iteration_limit_names_limit_and_first_residual(self):
-        """A steady but slow descent (50 x 11 on 3.0 x 0.3, max|w0| = 54.9)
-        stops at the iteration limit and says so; it is not a divergence."""
+        """A steady but slow descent (33 x 33 Gaussian bump, amplitude 0.05,
+        width 0.1, max|w0| = 78.1) stops at the iteration limit and says so;
+        it is not a divergence."""
         cfg = parse_config(
-            "[grid]\ndim = 2\nnodes = 50,11\nextent = 3.0,0.3\n"
-            "[initial]\nprofile = cosine\namplitude = 0.5\n"
+            "[grid]\ndim = 2\nnodes = 33,33\n"
+            "[initial]\nprofile = gaussian_bump\namplitude = 0.05\nwidth = 0.1\n"
             "[scheme]\ntau = 0.001\nhorizon = 0.001\n[output]\ndirectory = unused\n"
         )
         v = build_initial_field(cfg)
@@ -365,6 +373,110 @@ class TestNewtonStep:
         tol = 10 * params.picard_tol
         assert np.abs(u_pic.values - u_new.values).max() <= tol
         assert np.abs(w_pic.values - w_new.values).max() <= tol
+
+
+def _bump_config(dim, nodes, amplitude, horizon):
+    """Gaussian bump of width 0.1 at tau = 1e-3 under sinh."""
+    return parse_config(
+        f"[grid]\ndim = {dim}\nnodes = {nodes}\n"
+        f"[initial]\nprofile = gaussian_bump\namplitude = {amplitude}\nwidth = 0.1\n"
+        f"[scheme]\ntau = 0.001\nhorizon = {horizon}\n[output]\ndirectory = unused\n"
+    )
+
+
+class TestPCGDirection:
+    """The sinh Newton direction from Jacobi PCG on two cached factors."""
+
+    @pytest.mark.parametrize(
+        "grid, variant, reg_eps, profile",
+        [
+            (Grid(1, (1.0,), (65,)), sinh_variant(), None, "cosine 0.5"),
+            (Grid(2, (1.0, 1.0), (33, 33)), sinh_variant(), None, "cosine 0.5"),
+            (Grid(2, (1.3, 0.7), (21, 13)), sinh_variant(), 0.01, "random 0.5"),
+            (Grid(1, (1.0,), (65,)), make_variant("scaled_sinh", K=2.0), None, "cosine 0.3"),
+        ],
+        ids=["1d-65", "2d-33", "2d-21x13", "scaled-sinh-K2"],
+    )
+    def test_matches_lu_direction(self, grid, variant, reg_eps, profile, monkeypatch):
+        """At every state step 1's Newton visits, the PCG direction is the
+        direction of the factored Schur matrix to 1e-8 relative in du and dw.
+        States whose residual is within 100 times the step tolerance are left
+        out: their directions are of the size of the fields' round-off
+        (du about 2e-16 on 2-D 33), where a relative comparison measures
+        nothing."""
+        params = SchemeParams(tau=1e-3, horizon=1e-3, reg_eps=reg_eps)
+        kind, amplitude = profile.split()
+        if kind == "cosine":
+            v = Field.from_function(
+                grid,
+                lambda *xs: float(amplitude) * np.prod([np.cos(np.pi * x) for x in xs], axis=0),
+            )
+        else:
+            v = _random_smooth(grid, float(amplitude), seed=21)
+        pcg_direction = stepper._pcg_direction
+        states = []
+
+        def recording(*args):
+            out = pcg_direction(*args)
+            states.append((args, out))
+            return out
+
+        monkeypatch.setattr(stepper, "_pcg_direction", recording)
+        newton_step(v, params, (v, init_w0(v, params, variant)), variant)
+        ops = stepper._step_operators(grid, params.tau, params.reg_weight)
+        compared = 0
+        for (_, _, _, _, w, r1, r2), (du, dw, _) in states:
+            if max(np.abs(r1).max(), np.abs(r2).max()) <= 100 * params.picard_tol:
+                continue
+            du_lu, dw_lu = stepper._lu_direction(grid, ops, variant, None, w, r1, r2)
+            assert np.abs(du - du_lu).max() <= 1e-8 * np.abs(du_lu).max()
+            assert np.abs(dw - dw_lu).max() <= 1e-8 * np.abs(dw_lu).max()
+            compared += 1
+        assert compared >= 4
+
+    @pytest.mark.parametrize("nodes", [17, 33, 65])
+    def test_cg_iterations_independent_of_h(self, nodes):
+        """f' >= 1 bounds the preconditioned condition number by
+        1 + 1/(tau mu_1^2) + tau'/mu_1 whatever h: step 1 of a cosine start
+        at amplitude 0.4 takes at most 10 PCG iterations per Newton
+        iteration on every grid (6.3-6.5 on average)."""
+        grid = Grid(2, (1.0, 1.0), (nodes, nodes))
+        params = SchemeParams(tau=1e-3, horizon=1e-3)
+        v = Field.from_function(grid, lambda x, y: 0.4 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        _, _, diag = newton_step(v, params, (v, init_w0(v, params)))
+        assert len(diag.cg_iters) == len(diag.residual_history) - 1 > 0
+        assert max(diag.cg_iters) <= 10
+
+    def test_lu_path_records_no_cg(self, grid1d):
+        params = SchemeParams(tau=0.01, horizon=0.01)
+        v = _random_smooth(grid1d, 0.3, seed=20)
+        _, _, diag = newton_step(v, params, (v, init_w0(v, params, exp_variant())), exp_variant())
+        assert len(diag.residual_history) > 1
+        assert diag.cg_iters == []
+
+    def test_bump_that_factor_rejected_completes(self):
+        """1-D 65 bump, amplitude 0.05 (max|w0| = 46.5): the factored Schur
+        matrix of step 1 is exactly singular for SuperLU; PCG needs no Schur
+        matrix, and the three steps complete in 59 Newton iterations."""
+        cfg = _bump_config(1, "65", 0.05, 0.003)
+        traj = run(build_initial_field(cfg), cfg.scheme)
+        assert traj.num_steps == 3
+        assert sum(rec.newton_iters for rec in traj.records) == 59
+        assert all(rec.residual_inf <= cfg.scheme.picard_tol for rec in traj.records[1:])
+
+    @pytest.mark.parametrize(
+        "dim, nodes, amplitude",
+        [(1, "65", 0.3), (2, "33,33", 0.2)],
+        ids=["1d-65-max-w0-279", "2d-33-max-w0-312"],
+    )
+    def test_overflowing_direction_is_step_indexed_failure(self, dim, nodes, amplitude):
+        """Where cosh(w0) reaches 1e121 or more, the PCG arithmetic overflows.
+        That ends as a SolverFailure on step 1, not as a RuntimeWarning (an
+        error under this suite's warning filter) or a NaN direction."""
+        cfg = _bump_config(dim, nodes, amplitude, 0.003)
+        with pytest.raises(SolverFailure, match=r"^step 1: PCG Newton direction is not finite") as exc:
+            run(build_initial_field(cfg), cfg.scheme)
+        assert exc.value.step_index == 1
 
 
 class TestRun:
