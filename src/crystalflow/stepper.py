@@ -25,10 +25,13 @@ for each Newton direction depends on the variant; there are two paths.
   -Laplacian), about 11 at tau = 1e-3 on the unit box, whatever h or
   max f'; so PCG takes a few iterations per direction on any grid. B^-1 and
   (-Laplacian)^+ are applied through two LU factors made once per grid and
-  tau', and no matrix is factored per iteration.
-- exp, the p-variant and linear: the w-update is eliminated through the
-  second equation and the n x n Schur matrix left for the u-update is
-  factored afresh each iteration.
+  tau', and no matrix is factored per iteration. This path is taken while
+  that bound is at most _PCG_COND_MAX; beyond it (small tau mu_1^2: tiny
+  steps or large extents) the CG needs more iterations than one
+  factorization costs, and the step takes the other path.
+- exp, the p-variant, linear, and hyperbolic steps past that bound: the
+  w-update is eliminated through the second equation and the n x n Schur
+  matrix left for the u-update is factored afresh each iteration.
 
 Every sparse factorization goes through elliptic.lu_factor: SuperLU's
 minimum-degree ordering on A + A^T (MMD_AT_PLUS_A) in symmetric mode,
@@ -147,28 +150,6 @@ class Trajectory:
 
     def times(self) -> np.ndarray:
         return self.params.tau * np.arange(len(self.records))
-
-
-@dataclass(frozen=True)
-class _StepOperators:
-    """The constant matrices of the Newton Jacobian for one grid, tau and
-    tau': -Laplacian, B = -Laplacian + tau' I, I/tau and tau' I."""
-
-    neg_lap: sp.csr_matrix
-    block_uu: sp.csr_matrix
-    eye_tau: sp.csr_matrix
-    reg_eye: sp.csr_matrix
-
-
-@lru_cache(maxsize=16)
-def _step_operators(grid: Grid, tau: float, tau_reg: float) -> _StepOperators:
-    eye = sp.identity(grid.num_nodes, format="csr")
-    return _StepOperators(
-        neg_lap=-laplacian_matrix(grid),
-        block_uu=helmholtz_matrix(grid, tau_reg),
-        eye_tau=eye / tau,
-        reg_eye=tau_reg * eye,
-    )
 
 
 @lru_cache(maxsize=16)
@@ -383,30 +364,43 @@ _NEWTON_MAX_ITER = 60
 # PCG of the hyperbolic Newton direction stops when its preconditioned
 # residual norm has fallen by _CG_RTOL. Since K + diag(f') >= diag(f'), that
 # bounds the relative energy-norm error of the direction by
-# sqrt(cond) * _CG_RTOL, with cond <= 1 + 1/(tau mu_1^2) + tau'/mu_1 (about
-# 11 at tau = 1e-3 on the unit box, 4-9 iterations per direction). The cap
-# covers a condition number near 7e3; a direction that reaches it is still
-# the best iterate in that norm and goes to the line search as it is.
+# sqrt(cond) * _CG_RTOL, with cond at most _pcg_condition_bound (about 11 at
+# tau = 1e-3 on the unit box, 4-9 iterations per direction). Where that
+# bound exceeds _PCG_COND_MAX, the factored Schur matrix is cheaper and the
+# direction takes the LU path. Measured on sinh runs of 10 steps (2-D 33^2
+# and 65^2, cosine amplitude 0.1, one BLAS thread): against the LU path,
+# PCG is 1.2-1.6x faster at bounds of 830-2800 on 65^2 (tau 1e-5 on the
+# unit box, tau 1e-4 on 2 x 2, tau 3e-4 on 3 x 3) and even to 1.3x faster
+# on 33^2, about even to 1.2x slower near 4200, and 1.2-2.2x slower near
+# 8300 (tau 1e-4 on 3 x 3), where the less exact direction can also cost
+# extra Newton iterations (10 -> 17 at amplitude 0.02). At the threshold,
+# CG's worst case to _CG_RTOL is about 760 iterations, so the cap is a
+# guard that a converging direction does not reach.
 _CG_RTOL = 1e-10
 _CG_MAX_ITER = 1000
+_PCG_COND_MAX = 3000.0
 
 
-def _lu_direction(grid: Grid, ops: _StepOperators, variant: Variant, u, w, r1, r2):
+def _pcg_condition_bound(grid: Grid, tau: float, tau_reg: float) -> float:
+    """1 + 1/(tau mu_1^2) + tau'/mu_1: the bound on the Jacobi-preconditioned
+    condition number of the hyperbolic direction's system, with mu_1 the
+    smallest nonzero eigenvalue of the discrete Neumann -Laplacian,
+    (2/h)^2 sin^2(pi/(2(N - 1))) on the axis where it is least."""
+    mu_1 = min(
+        (2.0 / h) ** 2 * np.sin(np.pi / (2 * (nodes - 1))) ** 2
+        for h, nodes in zip(grid.spacing, grid.nodes)
+    )
+    return 1.0 + 1.0 / (tau * mu_1**2) + tau_reg / mu_1
+
+
+def _lu_direction(lap, eye, block_uu, tau: float, tau_reg: float, df_w, r1, r2):
     """Newton direction from the factored Schur matrix of the u-update.
 
     The w-row of the Jacobian gives dw = B du + r2, which leaves the n x n
     system (I/tau + A B) du = -r1 - A r2, A = -Laplacian diag(f'(w)) + tau' I.
     """
-    if variant.p is None:
-        block_uu = ops.block_uu
-    else:
-        block_uu = -p_laplacian_jacobian_1d(Field(grid, u), variant.p) + ops.reg_eye
-    # -Laplacian diag(f') by scaling the stored entries of each column
-    neg_lap = ops.neg_lap
-    scaled = neg_lap.data * variant.df(w)[neg_lap.indices]
-    block_uw = sp.csr_matrix((scaled, neg_lap.indices, neg_lap.indptr), shape=neg_lap.shape)
-    block_uw = block_uw + ops.reg_eye
-    schur = ops.eye_tau + block_uw @ block_uu
+    block_uw = -lap @ sp.diags(df_w) + tau_reg * eye
+    schur = eye / tau + block_uw @ block_uu
     du = lu_factor(schur).solve(-r1 - block_uw @ r2)
     dw = block_uu @ du + r2
     return du, dw
@@ -500,23 +494,25 @@ def newton_step(
     With residuals r1, r2 of the two equations, the Jacobian has the blocks
     [[I/tau, A], [B, -I]], where A = -Laplacian diag(f'(w)) + tau' I and
     B = -Laplacian + tau' I (minus the p-Laplacian's Jacobian, plus tau' I,
-    rebuilt every iteration for the p-variant). The step's constant
-    matrices come from a cache per grid, tau and tau'. Each direction is
-    found on one of two paths:
+    rebuilt every iteration for the p-variant). Each direction is found on
+    one of two paths:
 
     - Hyperbolic variants with a linear B (sinh and normalized scaled_sinh,
-      f' >= 1): _pcg_direction eliminates du and solves for dw. The mean of
-      dw has a closed form; its mean-zero part comes from Jacobi PCG on
+      f' >= 1), while the bound below is at most _PCG_COND_MAX:
+      _pcg_direction eliminates du and solves for dw. The mean of dw has a
+      closed form; its mean-zero part comes from Jacobi PCG on
       K + P diag(f'(w)), applying B^-1 and (-Laplacian)^+ through two LU
       factors made once per grid and tau'. Because f' >= 1, the
       preconditioned condition number is at most
       1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue
       of -Laplacian) whatever h or max f', so the PCG iterations per
       direction do not grow with the grid.
-    - exp, the p-variant and linear: _lu_direction factors the Schur matrix
-      I/tau + A B of the u-update afresh each iteration with lu_factor
-      (MMD_AT_PLUS_A ordering in symmetric mode, diagonal pivot threshold
-      1e-3).
+    - exp, the p-variant, linear, and hyperbolic steps whose bound exceeds
+      _PCG_COND_MAX (small tau mu_1^2: tiny steps or large extents):
+      _lu_direction factors the Schur matrix I/tau + A B of the u-update
+      afresh each iteration with lu_factor (MMD_AT_PLUS_A ordering in
+      symmetric mode, diagonal pivot threshold 1e-3). B is assembled once
+      per step.
 
     A PCG direction whose arithmetic overflows raises SolverFailure.
     """
@@ -525,8 +521,16 @@ def newton_step(
     tau, tau_reg, cap = params.tau, params.reg_weight, params.sinh_arg_cap
     tol = params.picard_tol
     n = grid.num_nodes
-    pcg_path = variant.hyperbolic and variant.p is None
-    ops = None if pcg_path else _step_operators(grid, tau, tau_reg)
+    pcg_path = (
+        variant.hyperbolic
+        and variant.p is None
+        and _pcg_condition_bound(grid, tau, tau_reg) <= _PCG_COND_MAX
+    )
+    if not pcg_path:
+        lap = laplacian_matrix(grid)
+        eye = sp.identity(n, format="csr")
+        if variant.p is None:
+            block_uu = helmholtz_matrix(grid, tau_reg)
 
     u = guess[0].values.copy()
     w = guess[1].values.copy()
@@ -547,7 +551,9 @@ def newton_step(
             du, dw, its = _pcg_direction(grid, tau, tau_reg, variant, w, r[:n], r[n:])
             cg_iters.append(its)
         else:
-            du, dw = _lu_direction(grid, ops, variant, u, w, r[:n], r[n:])
+            if variant.p is not None:
+                block_uu = -p_laplacian_jacobian_1d(Field(grid, u), variant.p) + tau_reg * eye
+            du, dw = _lu_direction(lap, eye, block_uu, tau, tau_reg, variant.df(w), r[:n], r[n:])
         lam = 1.0
         while lam >= 1e-8:
             u_try = u + lam * du

@@ -423,12 +423,16 @@ class TestPCGDirection:
 
         monkeypatch.setattr(stepper, "_pcg_direction", recording)
         newton_step(v, params, (v, init_w0(v, params, variant)), variant)
-        ops = stepper._step_operators(grid, params.tau, params.reg_weight)
+        lap = laplacian_matrix(grid)
+        eye = sp.identity(grid.num_nodes, format="csr")
+        block_uu = helmholtz_matrix(grid, params.reg_weight)
         compared = 0
         for (_, _, _, _, w, r1, r2), (du, dw, _) in states:
             if max(np.abs(r1).max(), np.abs(r2).max()) <= 100 * params.picard_tol:
                 continue
-            du_lu, dw_lu = stepper._lu_direction(grid, ops, variant, None, w, r1, r2)
+            du_lu, dw_lu = stepper._lu_direction(
+                lap, eye, block_uu, params.tau, params.reg_weight, variant.df(w), r1, r2
+            )
             assert np.abs(du - du_lu).max() <= 1e-8 * np.abs(du_lu).max()
             assert np.abs(dw - dw_lu).max() <= 1e-8 * np.abs(dw_lu).max()
             compared += 1
@@ -453,6 +457,47 @@ class TestPCGDirection:
         _, _, diag = newton_step(v, params, (v, init_w0(v, params, exp_variant())), exp_variant())
         assert len(diag.residual_history) > 1
         assert diag.cg_iters == []
+
+    @pytest.mark.parametrize(
+        "grid, tau, reg_eps",
+        [
+            (Grid(1, (1.0,), (33,)), 1e-3, None),
+            (Grid(2, (1.0, 2.0), (9, 17)), 1e-4, None),
+            (Grid(2, (3.0, 3.0), (17, 17)), 1e-4, 0.01),
+        ],
+        ids=["1d-33", "2d-9x17-on-1x2", "2d-17-on-3x3-decoupled"],
+    )
+    def test_condition_bound_from_spectrum(self, grid, tau, reg_eps):
+        """The closed-form mu_1 of the bound is the smallest nonzero
+        eigenvalue of the assembled -Laplacian."""
+        params = SchemeParams(tau=tau, horizon=tau, reg_eps=reg_eps)
+        eigs = np.sort(np.linalg.eigvals(-laplacian_matrix(grid).toarray()).real)
+        mu_1 = eigs[1]
+        expected = 1 + 1 / (tau * mu_1**2) + params.reg_weight / mu_1
+        bound = stepper._pcg_condition_bound(grid, tau, params.reg_weight)
+        assert abs(bound - expected) <= 1e-9 * expected
+
+    def test_small_tau_mu1_takes_lu_path(self, monkeypatch):
+        """On 17 x 17 over 3 x 3 at tau = 1e-4 the bound is about 8300, past
+        _PCG_COND_MAX: the sinh step factors its Schur matrices and runs no
+        CG, and its result agrees with the PCG path's to the step
+        tolerance."""
+        grid = Grid(2, (3.0, 3.0), (17, 17))
+        params = SchemeParams(tau=1e-4, horizon=1e-4)
+        assert stepper._pcg_condition_bound(grid, params.tau, params.reg_weight) > 8000
+        v = Field.from_function(
+            grid, lambda x, y: 0.1 * np.cos(np.pi * x / 3) * np.cos(np.pi * y / 3)
+        )
+        guess = (v, init_w0(v, params))
+        u_lu, w_lu, diag = newton_step(v, params, guess)
+        assert diag.cg_iters == []
+        assert len(diag.residual_history) > 1
+        monkeypatch.setattr(stepper, "_PCG_COND_MAX", np.inf)
+        u_cg, w_cg, diag_cg = newton_step(v, params, guess)
+        assert len(diag_cg.cg_iters) > 0
+        tol = 10 * params.picard_tol
+        assert np.abs(u_lu.values - u_cg.values).max() <= tol
+        assert np.abs(w_lu.values - w_cg.values).max() <= tol
 
     def test_bump_that_factor_rejected_completes(self):
         """1-D 65 bump, amplitude 0.05 (max|w0| = 46.5): the factored Schur
