@@ -16,9 +16,6 @@ from .estimates import (
     cosh_energy,
     p_variant_energy,
     standard_reports,
-    verify_prop31,
-    verify_prop32,
-    verify_prop33,
 )
 from .exceptions import (
     ConfigError,
@@ -49,9 +46,6 @@ __all__ = [
     "build_initial_field",
     "EstimateReport",
     "cosh_energy",
-    "verify_prop31",
-    "verify_prop32",
-    "verify_prop33",
     "standard_reports",
     "continuum_monitors",
     "p_variant_energy",

@@ -12,9 +12,10 @@ with snapshot_stride = 1 its output equals that file byte for byte. It
 exits 1 when a report fails or the directory cannot be read.
 
 An argument no run can start from (an unreadable config path, an unknown
-sweep parameter or variant, a sweep value that is not a number or does not
-divide the horizon) exits 2 with one "error: ..." line, before any run
-directory is written.
+sweep parameter or variant, a sweep value that is not a finite number or
+does not divide the horizon into one or more steps) exits 2 with one
+"error: ..." line, and a config that fails validation exits 2 with its
+violations, both before any run directory is written.
 
 The CRYSTALFLOW_OUTPUT_ROOT environment variable, when set, is prepended
 to every configured output directory.

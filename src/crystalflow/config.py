@@ -9,6 +9,7 @@ each tagged with its source line, instead of stopping at the first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,13 @@ def _raw_sections(text: str, violations: list) -> dict:
     return sections
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 class _SectionReader:
     """Typed accessors over one raw section, accumulating violations."""
 
@@ -126,28 +134,17 @@ class _SectionReader:
             return default
 
     def real(self, key, default=None, required=False):
-        return self._parse(key, float, "a real number", default, required)
+        return self._parse(key, _finite, "a finite real number", default, required)
 
     def integer(self, key, default=None, required=False):
         return self._parse(key, int, "an integer", default, required)
-
-    def boolean(self, key, default=None, required=False):
-        def conv(s):
-            low = s.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(s)
-
-        return self._parse(key, conv, "a boolean", default, required)
 
     def string(self, key, default=None, required=False):
         return self._parse(key, str, "a string", default, required)
 
     def real_list(self, key, default=None, required=False):
-        conv = lambda s: tuple(float(part) for part in s.split(","))
-        return self._parse(key, conv, "a comma-separated list of reals", default, required)
+        conv = lambda s: tuple(_finite(part) for part in s.split(","))
+        return self._parse(key, conv, "a comma-separated list of finite reals", default, required)
 
     def int_list(self, key, default=None, required=False):
         conv = lambda s: tuple(int(part) for part in s.split(","))
@@ -236,7 +233,9 @@ def _parse_initial(raw, violations):
     elif profile == "random_smooth":
         amplitude = r.real("amplitude", required=True)
         seed = r.integer("seed", required=True)
-        if r.ok and seed is not None:
+        if seed is not None and seed < 0:
+            violations.append("[initial] random_smooth seed must be >= 0")
+        elif r.ok and seed is not None:
             spec = InitialSpec(profile="random_smooth", amplitude=amplitude, seed=seed)
     elif profile == "snapshot":
         path = r.string("path", required=True)
@@ -271,7 +270,14 @@ def _parse_variant(raw, violations):
     kwargs = {}
     if kind == "scaled_sinh":
         kwargs["K"] = r.real("K", required=True)
-        kwargs["normalized"] = r.boolean("normalized", default=True)
+        # config.txt files written before f = sinh(K s)/K was the only
+        # scaled_sinh say so; any other value named a variant that is gone
+        normalized = r.string("normalized", default="true")
+        if normalized.lower() not in ("true", "yes", "1"):
+            violations.append(
+                f"[variant] normalized = {normalized} is not supported; "
+                "scaled_sinh is always sinh(K s)/K"
+            )
     elif kind == "p_exponent":
         kwargs["p"] = r.real("p", required=True)
     r.finish()
@@ -351,7 +357,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     lines.append(f"kind = {v.name}")
     if v.name == "scaled_sinh":
         lines.append(f"K = {FLOAT_FMT % v.arg_scale}")
-        lines.append(f"normalized = {str(v.normalized).lower()}")
     elif v.name == "p_exponent":
         lines.append(f"p = {FLOAT_FMT % v.p}")
 

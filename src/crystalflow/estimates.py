@@ -29,8 +29,9 @@ so each report is one declaration: the list of its terms, each with its
 kind (RUNNING, ENDPOINT or INITIAL), its coefficient and its per-record
 series, handed to _telescoped. That builder alone sums the series, finds
 the worst truncation and records every term at it, so the list can be
-checked line by line against the inequality in the report's docstring,
-and it is also the row order of report_terms.csv.
+checked line by line against the inequality in its _prop3x docstring,
+and it is also the row order of report_terms.csv. standard_reports is the
+one entry point to the three; p_variant_energy states the p-law.
 """
 
 from __future__ import annotations
@@ -49,14 +50,10 @@ __all__ = [
     "EstimateReport",
     "MonitorSeries",
     "cosh_energy",
-    "verify_prop31",
-    "verify_prop32",
-    "verify_prop33",
     "standard_reports",
     "continuum_monitors",
     "p_variant_energy",
     "mass_identity_residuals",
-    "zero_mean_residuals",
     "write_reports_csv",
     "write_terms_csv",
 ]
@@ -213,6 +210,17 @@ def _telescoped(name: str, tau: float, terms) -> EstimateReport:
 
 
 def _prop31(fn: _Functionals) -> EstimateReport:
+    """First energy inequality: rate + flux dissipation against initial energy.
+
+    For every K >= 1,
+
+        sum_{k<=K} tau [ ||du_k||^2 + ||Lap f(w_k)||^2 + r^2 ||w_k||^2
+                         + 2 r S_k + 2 r^2 W_k + 2 r int|grad w_k|^2 ]
+        + 2 C_K + r G_K + r^2 M_K
+            <= 2 C_0 + 2 r G_0 + 2 r^2 M_0.
+
+    Reported lhs is the worst truncation K; rhs is the initial-data bound.
+    """
     r = fn.r
     return _telescoped("prop31", fn.tau, [
         ("time_derivative_sq", RUNNING, 1, fn.du_sq),
@@ -231,6 +239,15 @@ def _prop31(fn: _Functionals) -> EstimateReport:
 
 
 def _prop32(fn: _Functionals) -> EstimateReport:
+    """Second energy inequality: Dirichlet decay plus exponent-gradient control.
+
+    For every K >= 1,
+
+        (G_K + r M_K)/2
+        + sum_{k<=K} tau [ int|grad w_k|^2 + r ||Lap u_k||^2
+                           + 2 r^2 G_k + r^3 M_k ]
+            <= G_0 + r M_0.
+    """
     r = fn.r
     return _telescoped("prop32", fn.tau, [
         ("dirichlet_endpoint", ENDPOINT, 0.5, fn.G),
@@ -245,6 +262,18 @@ def _prop32(fn: _Functionals) -> EstimateReport:
 
 
 def _prop33(fn: _Functionals) -> EstimateReport:
+    """Third energy inequality: control of the time derivatives.
+
+    For every K >= 1,
+
+        2 sum_{k<=K} tau ||dw_k||^2 + ||du_K||^2 + r S_K + 2 r^2 E_K
+        + 2 r sum_{k<=K} tau int|grad du_k|^2 + 2 r^2 sum_{k<=K} tau ||du_k||^2
+            <= ||du_0||^2 + r S_0 + 2 r^2 W_0
+
+    with the startup rate du_0 = Lap f(w_0) - r w_0. The endpoint uses the
+    convexity gap E (which is what the telescoping actually produces and
+    never exceeds W), while the right side keeps the plain W_0 form.
+    """
     r = fn.r
     return _telescoped("prop33", fn.tau, [
         ("w_time_derivative_sq", RUNNING, 2, fn.dw_sq),
@@ -275,50 +304,6 @@ def standard_reports(traj: Trajectory, names=REPORT_NAMES) -> list[EstimateRepor
     return [_REPORTS[name](fn) for name in names]
 
 
-def verify_prop31(traj: Trajectory) -> EstimateReport:
-    """First energy inequality: rate + flux dissipation against initial energy.
-
-    For every K >= 1,
-
-        sum_{k<=K} tau [ ||du_k||^2 + ||Lap f(w_k)||^2 + r^2 ||w_k||^2
-                         + 2 r S_k + 2 r^2 W_k + 2 r int|grad w_k|^2 ]
-        + 2 C_K + r G_K + r^2 M_K
-            <= 2 C_0 + 2 r G_0 + 2 r^2 M_0.
-
-    Reported lhs is the worst truncation K; rhs is the initial-data bound.
-    """
-    return standard_reports(traj, ("prop31",))[0]
-
-
-def verify_prop32(traj: Trajectory) -> EstimateReport:
-    """Second energy inequality: Dirichlet decay plus exponent-gradient control.
-
-    For every K >= 1,
-
-        (G_K + r M_K)/2
-        + sum_{k<=K} tau [ int|grad w_k|^2 + r ||Lap u_k||^2
-                           + 2 r^2 G_k + r^3 M_k ]
-            <= G_0 + r M_0.
-    """
-    return standard_reports(traj, ("prop32",))[0]
-
-
-def verify_prop33(traj: Trajectory) -> EstimateReport:
-    """Third energy inequality: control of the time derivatives.
-
-    For every K >= 1,
-
-        2 sum_{k<=K} tau ||dw_k||^2 + ||du_K||^2 + r S_K + 2 r^2 E_K
-        + 2 r sum_{k<=K} tau int|grad du_k|^2 + 2 r^2 sum_{k<=K} tau ||du_k||^2
-            <= ||du_0||^2 + r S_0 + 2 r^2 W_0
-
-    with the startup rate du_0 = Lap f(w_0) - r w_0. The endpoint uses the
-    convexity gap E (which is what the telescoping actually produces and
-    never exceeds W), while the right side keeps the plain W_0 form.
-    """
-    return standard_reports(traj, ("prop33",))[0]
-
-
 @dataclass
 class MonitorSeries:
     """Per-step continuum monitor quantities for refinement studies."""
@@ -328,21 +313,6 @@ class MonitorSeries:
     dirichlet: np.ndarray
     cosh_energy: np.ndarray
     l2_time_derivative: np.ndarray
-
-    @property
-    def cosh_energy_monotone(self) -> bool:
-        """Non-increasing within relative round-off slack."""
-        e = self.cosh_energy
-        slack = 1e-12 * np.maximum(1.0, np.abs(e[:-1]))
-        return bool(np.all(np.diff(e) <= slack))
-
-    @property
-    def mass_drift(self) -> np.ndarray:
-        return np.abs(self.mass - self.mass[0])
-
-    @property
-    def max_mass_drift(self) -> float:
-        return float(self.mass_drift.max())
 
 
 def continuum_monitors(traj: Trajectory) -> MonitorSeries:
@@ -433,15 +403,6 @@ def mass_identity_residuals(traj: Trajectory) -> np.ndarray:
     masses = np.array([qw @ rec.u.values for rec in traj.records])
     w_int = np.array([qw @ rec.w.values for rec in traj.records])
     return np.abs(np.diff(masses) / tau + r * w_int[1:])
-
-
-def zero_mean_residuals(traj: Trajectory) -> np.ndarray:
-    """|int w_k - r int u_k| per record; vanishes as the regularization does."""
-    qw = traj.grid.quad_weights()
-    r = traj.params.reg_weight
-    return np.array(
-        [abs(qw @ rec.w.values - r * (qw @ rec.u.values)) for rec in traj.records]
-    )
 
 
 def write_reports_csv(reports: list[EstimateReport], stream: io.TextIOBase) -> None:

@@ -39,7 +39,6 @@ __all__ = [
     "verify_run",
     "sweep",
     "compare_variants",
-    "compare_scaled_sinh",
 ]
 
 
@@ -316,44 +315,4 @@ def compare_variants(
                     energy = float(qw @ traj.variant.antiderivative(rec.w.values))
                     row += [FLOAT_FMT % w_sup, FLOAT_FMT % energy]
                 fh.write(",".join(row) + "\n")
-    return results
-
-
-def compare_scaled_sinh(
-    cfg: ExperimentConfig, scales, output_root=None
-) -> dict:
-    """Sweep the normalized scaled-sinh nonlinearity toward its linear limit.
-
-    Runs f(s) = sinh(K s)/K for every K plus the linear reference f(s) = s
-    on the same data and writes the final-time L2 distance to the
-    reference per K; the distance decreases as K shrinks.
-    """
-    from .nonlinearity import linear_variant, scaled_sinh_variant
-
-    root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
-    root.mkdir(parents=True, exist_ok=True)
-
-    ref_cfg = dataclasses.replace(
-        cfg,
-        variant=linear_variant(),
-        output=dataclasses.replace(cfg.output, directory="variant_linear"),
-    )
-    reference = run_experiment(ref_cfg, root)
-
-    results = {"linear": reference}
-    rows = []
-    for k_value in scales:
-        sub_cfg = dataclasses.replace(
-            cfg,
-            variant=scaled_sinh_variant(float(k_value)),
-            output=dataclasses.replace(cfg.output, directory=f"variant_scaled_sinh_{k_value:g}"),
-        )
-        result = run_experiment(sub_cfg, root)
-        results[f"scaled_sinh_{k_value:g}"] = result
-        if result.trajectory is not None and reference.trajectory is not None:
-            rows.append((float(k_value), _final_l2_diff(result.trajectory, reference.trajectory)))
-    with open(root / "scaled_sinh_summary.csv", "w", newline="\n") as fh:
-        fh.write("K,final_l2_diff_to_linear\n")
-        for k_value, diff in rows:
-            fh.write(f"{FLOAT_FMT % k_value},{FLOAT_FMT % diff}\n")
     return results

@@ -33,19 +33,20 @@ class Variant:
 
     Attributes:
         name: stable identifier used in configs and reports
-        hyperbolic: True when f is odd with f' >= 1, i.e. the structure the
-            discrete energy estimates require
         p: p-Laplacian exponent when the variant replaces -Laplacian u by
             -Laplacian_p u (1-D only), else None
-        arg_scale: internal scaling of the argument (K for scaled sinh)
-        normalized: for scaled sinh, whether f is sinh(K s)/K or raw sinh(K s)
+        arg_scale: K of f = sinh(K s)/K; 1 for every variant but scaled_sinh
     """
 
     name: str
-    hyperbolic: bool
     p: float | None = None
     arg_scale: float = 1.0
-    normalized: bool = True
+
+    @property
+    def hyperbolic(self) -> bool:
+        """True when f is odd with f' >= 1, i.e. the structure the discrete
+        energy estimates require: every sinh(K s)/K variant."""
+        return self.name not in ("exp", "linear")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -60,70 +61,58 @@ class Variant:
                 step_index=step_index,
             )
 
+    # the hyperbolic branches divide by K = 1 for sinh and the p-variant,
+    # which is exact, so they share scaled_sinh's expressions bit for bit
+
     def f(self, w: np.ndarray) -> np.ndarray:
-        k = self.arg_scale
         if self.name == "exp":
             return np.exp(w)
         if self.name == "linear":
             return np.asarray(w, dtype=float)
-        out = np.sinh(k * w)
-        if self.name == "scaled_sinh" and self.normalized:
-            out = out / k
-        return out
+        k = self.arg_scale
+        return np.sinh(k * w) / k
 
     def df(self, w: np.ndarray) -> np.ndarray:
         """Derivative f'; the diffusion weight of the linearized sub-problem."""
-        k = self.arg_scale
         if self.name == "exp":
             return np.exp(w)
         if self.name == "linear":
             return np.ones_like(np.asarray(w, dtype=float))
-        out = np.cosh(k * w)
-        if self.name == "scaled_sinh" and not self.normalized:
-            out = out * k
-        return out
+        return np.cosh(self.arg_scale * w)
 
     def antiderivative(self, w: np.ndarray) -> np.ndarray:
         """F with F' = f and F(0) = f's natural energy density (cosh-like)."""
-        k = self.arg_scale
         if self.name == "exp":
             return np.exp(w)
         if self.name == "linear":
             return 0.5 * np.asarray(w, dtype=float) ** 2
-        out = np.cosh(k * w) / k
-        if self.name == "scaled_sinh" and self.normalized:
-            out = out / k
-        return out
+        k = self.arg_scale
+        return np.cosh(k * w) / k / k
 
 
 def sinh_variant() -> Variant:
-    return Variant(name="sinh", hyperbolic=True)
+    return Variant(name="sinh")
 
 
 def exp_variant() -> Variant:
-    return Variant(name="exp", hyperbolic=False)
+    return Variant(name="exp")
 
 
-def scaled_sinh_variant(k: float, normalized: bool = True) -> Variant:
+def scaled_sinh_variant(k: float) -> Variant:
     if k <= 0:
         raise ValueError(f"scale K must be positive, got {k}")
-    return Variant(
-        name="scaled_sinh",
-        hyperbolic=normalized,
-        arg_scale=float(k),
-        normalized=normalized,
-    )
+    return Variant(name="scaled_sinh", arg_scale=float(k))
 
 
 def p_exponent_variant(p: float) -> Variant:
     if p < 2:
         raise ValueError(f"p-Laplacian exponent must satisfy p >= 2, got {p}")
-    return Variant(name="p_exponent", hyperbolic=True, p=float(p))
+    return Variant(name="p_exponent", p=float(p))
 
 
 def linear_variant() -> Variant:
-    """f(s) = s; the K -> 0 limit used as the reference in scaled-sinh sweeps."""
-    return Variant(name="linear", hyperbolic=False)
+    """f(s) = s; the K -> 0 limit of scaled_sinh."""
+    return Variant(name="linear")
 
 
 # the parameter each parametrized kind cannot be built without
@@ -139,7 +128,7 @@ def make_variant(kind: str, **kwargs) -> Variant:
     if kind == "exp":
         return exp_variant()
     if kind == "scaled_sinh":
-        return scaled_sinh_variant(kwargs["K"], kwargs.get("normalized", True))
+        return scaled_sinh_variant(kwargs["K"])
     if kind == "p_exponent":
         return p_exponent_variant(kwargs["p"])
     if kind == "linear":

@@ -13,7 +13,7 @@ Each step is one Newton solve of the coupled residual with a halving line
 search, started from the previous step's pair (u, w). Only the linear solve
 for each Newton direction depends on the variant; there are two paths.
 
-- sinh and normalized scaled_sinh (f' >= 1, linear second equation): the
+- sinh and scaled_sinh (f' >= 1, linear second equation): the
   u-update is eliminated through u = B^-1 w, B = -Laplacian + tau' I, and
   the w-update is split into its quadrature mean, which has a closed form,
   and a mean-zero part. Symmetrized by the pseudo-inverse of -Laplacian, the
@@ -44,6 +44,7 @@ tracing it (ROADMAP item 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -91,6 +92,10 @@ class SchemeParams:
     sinh_arg_cap: float = 700.0
 
     def __post_init__(self):
+        for name in ("tau", "horizon", "reg_eps", "picard_tol", "sinh_arg_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.horizon <= 0:
@@ -101,10 +106,16 @@ class SchemeParams:
                 f"tau = {self.tau} must divide horizon = {self.horizon} "
                 "into an integer number of steps"
             )
+        if self.num_steps < 1:
+            raise ValueError(
+                f"tau = {self.tau} exceeds horizon = {self.horizon}; a run needs at least one step"
+            )
         if self.reg_eps is not None and self.reg_eps <= 0:
             raise ValueError(f"reg_eps must be positive when given, got {self.reg_eps}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
+        if self.sinh_arg_cap <= 0:
+            raise ValueError(f"sinh_arg_cap must be positive, got {self.sinh_arg_cap}")
 
     @property
     def num_steps(self) -> int:
@@ -497,7 +508,7 @@ def newton_step(
     rebuilt every iteration for the p-variant). Each direction is found on
     one of two paths:
 
-    - Hyperbolic variants with a linear B (sinh and normalized scaled_sinh,
+    - Hyperbolic variants with a linear B (sinh and scaled_sinh,
       f' >= 1), while the bound below is at most _PCG_COND_MAX:
       _pcg_direction eliminates du and solves for dw. The mean of dw has a
       closed form; its mean-zero part comes from Jacobi PCG on

@@ -32,6 +32,25 @@ def config_path(tmp_path):
     return str(path)
 
 
+# config edits giving values no run can use: each is one violation, not a
+# traceback from inside the run
+UNUSABLE_CASES = {
+    "zero-steps": {"tau = 0.01": "tau = 1e10", "horizon = 0.05": "horizon = 0.1\nreg_eps = 1"},
+    "tau-inf": {"tau = 0.01": "tau = inf"},
+    "reg_eps-inf": {"tau = 0.01": "tau = 0.01\nreg_eps = inf"},
+    "horizon-inf": {"horizon = 0.05": "horizon = inf"},
+    "cap-nan": {"tau = 0.01": "tau = 0.01\nsinh_arg_cap = nan"},
+    "extent-inf": {"nodes = 65": "nodes = 65\nextent = inf"},
+    "extent-nan": {"nodes = 65": "nodes = 65\nextent = nan"},
+    "amplitude-nan": {"amplitude = 0.1": "amplitude = nan"},
+    "c-inf": {"profile = cosine\namplitude = 0.1": "profile = constant\nc = inf"},
+    "random-amplitude-inf": {
+        "profile = cosine\namplitude = 0.1": "profile = random_smooth\namplitude = inf\nseed = 1"
+    },
+    "seed-negative": {"profile = cosine": "profile = random_smooth\nseed = -1"},
+}
+
+
 class TestRunCommand:
     def test_clean_run_exit_zero(self, config_path, tmp_path, capsys):
         code = main(["--output-root", str(tmp_path), "run", config_path])
@@ -59,6 +78,18 @@ class TestRunCommand:
         code = main(["--output-root", str(tmp_path), "run", str(cfg)])
         assert code == 1
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", UNUSABLE_CASES)
+    def test_unusable_value_exit_2_before_any_run(self, case, tmp_path, capsys):
+        text = CONFIG
+        for old, new in UNUSABLE_CASES[case].items():
+            text = text.replace(old, new)
+        cfg, root = tmp_path / "bad.cfg", tmp_path / "out"
+        cfg.write_text(text)
+        assert main(["--output-root", str(root), "run", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "invalid configuration:" and len(err) == 2
+        assert not root.exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["--output-root", str(tmp_path / "out"), "run", str(tmp_path / "nosuch.cfg")])
@@ -108,6 +139,23 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 1
         assert missing.split("/")[-1] in capsys.readouterr().err
+
+    def test_verify_legacy_normalized_key(self, tmp_path, capsys):
+        # a scaled_sinh config.txt written while f = sinh(K s)/K was selected
+        # by "normalized = true" still verifies
+        path = tmp_path / "scaled.cfg"
+        path.write_text(CONFIG.replace("[output]", "[variant]\nkind = scaled_sinh\nK = 2\n\n[output]"))
+        assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
+        config_txt = tmp_path / "demo" / "config.txt"
+        text = config_txt.read_text()
+        legacy = text.replace("K = 2\n", "K = 2\nnormalized = true\n")
+        assert legacy != text
+        config_txt.write_text(legacy)
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("true") == 3
+        assert out == (tmp_path / "demo" / "reports.csv").read_text()
 
     def test_verify_rejects_corrupt_snapshot(self, config_path, tmp_path, capsys):
         main(["--output-root", str(tmp_path), "run", config_path])
@@ -172,8 +220,9 @@ class TestSweepCommand:
             # 0.007 does not divide the horizon 0.05
             (["--values", "0.01", "0.007"], "0.007"),
             (["--values", "0.01", "abc"], "abc"),
+            (["--values", "0.01", "inf"], "inf"),
         ],
-        ids=["param", "not-dividing", "not-a-number"],
+        ids=["param", "not-dividing", "not-a-number", "not-finite"],
     )
     def test_bad_argument_exit_2_before_any_run(
         self, args, bad_value, config_path, tmp_path, capsys

@@ -110,6 +110,18 @@ class TestParsing:
             parse_config(MINIMAL + f"\n[scheme]\ntau = 0.01\n{key} = {value}\n")
         assert exc.value.violations == [f"line 12: unknown key {key!r} in [scheme]"]
 
+    def test_legacy_normalized_true_is_scaled_sinh(self):
+        legacy = parse_config(MINIMAL + "\n[variant]\nkind = scaled_sinh\nK = 2\nnormalized = true\n")
+        assert legacy == parse_config(MINIMAL + "\n[variant]\nkind = scaled_sinh\nK = 2\n")
+        assert "normalized" not in config_to_text(legacy)
+
+    @pytest.mark.parametrize("value", ["false", "no", "0"])
+    def test_legacy_normalized_false_rejected(self, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"\n[variant]\nkind = scaled_sinh\nK = 2\nnormalized = {value}\n")
+        assert len(exc.value.violations) == 1
+        assert exc.value.violations[0].startswith("[variant] normalized")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -118,6 +130,7 @@ class TestRoundTrip:
             "",
             "\n[scheme]\ntau = 0.005\nhorizon = 0.02\nreg_eps = 0.0001\n",
             "\n[variant]\nkind = scaled_sinh\nK = 0.25\n",
+            "\n[variant]\nkind = scaled_sinh\nK = 0.25\nnormalized = true\n",
             "\n[variant]\nkind = p_exponent\np = 3\n",
             "\n[output]\ndirectory = elsewhere\nsnapshot_stride = 2\nreports = prop31\n",
         ],

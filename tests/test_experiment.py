@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 from crystalflow import estimates, stepper
-from crystalflow.config import parse_config
-from crystalflow.experiment import (
-    compare_scaled_sinh,
-    compare_variants,
-    run_experiment,
-    sweep,
-)
+from crystalflow.config import build_initial_field, parse_config
+from crystalflow.experiment import compare_variants, run_experiment, sweep
+from crystalflow.nonlinearity import make_variant
 
 BASE = """
 [grid]
@@ -241,12 +237,20 @@ class TestCompare:
         rows = (tmp_path / "variant_comparison.csv").read_text().splitlines()
         assert len(rows) == 12
 
-    def test_scaled_sinh_converges_to_linear(self, tmp_path):
+    def test_scaled_sinh_converges_to_linear(self):
         cfg = make_cfg(
             **{"profile = cosine\namplitude = 0.1": "profile = cosine\namplitude = 0.2"}
         )
-        compare_scaled_sinh(cfg, [1.0, 0.5, 0.25], output_root=tmp_path)
-        rows = (tmp_path / "scaled_sinh_summary.csv").read_text().splitlines()[1:]
-        diffs = [float(row.split(",")[1]) for row in rows]
+        u0 = build_initial_field(cfg)
+        qw = cfg.grid.quad_weights()
+
+        def final_u(variant):
+            return stepper.run(u0, cfg.scheme, variant).records[-1].u.values
+
+        reference = final_u(make_variant("linear"))
+        diffs = []
+        for k in (1.0, 0.5, 0.25):
+            d = final_u(make_variant("scaled_sinh", K=k)) - reference
+            diffs.append(float(np.sqrt(qw @ (d * d))))
         assert len(diffs) == 3
         assert diffs[0] > diffs[1] > diffs[2]

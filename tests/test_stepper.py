@@ -54,6 +54,12 @@ class TestSchemeParams:
             {"tau": 0.1, "horizon": 0.0},
             {"tau": 0.1, "horizon": 1.0, "reg_eps": 0.0},
             {"tau": 0.1, "horizon": 1.0, "picard_tol": 0.0},
+            {"tau": 1e10, "horizon": 0.1, "reg_eps": 1.0},
+            {"tau": float("inf"), "horizon": 1.0},
+            {"tau": 0.1, "horizon": 1.0, "reg_eps": float("inf")},
+            {"tau": 0.1, "horizon": float("inf")},
+            {"tau": 0.1, "horizon": 1.0, "sinh_arg_cap": float("nan")},
+            {"tau": 0.1, "horizon": 1.0, "sinh_arg_cap": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -654,6 +660,13 @@ class TestVariantFactories:
             v.check_cap(np.array([800.0]), 700.0, step_index=3)
         assert exc.value.step_index == 3
         assert exc.value.max_abs == 800.0
+
+    def test_scaled_sinh_k1_is_sinh_bit_for_bit(self):
+        w = np.random.default_rng(0).uniform(-40.0, 40.0, 1001)
+        scaled, plain = make_variant("scaled_sinh", K=1.0), sinh_variant()
+        assert scaled.hyperbolic and plain.hyperbolic
+        for name in ("f", "df", "antiderivative"):
+            np.testing.assert_array_equal(getattr(scaled, name)(w), getattr(plain, name)(w))
 
     def test_scaled_cap_uses_scaled_argument(self):
         v = make_variant("scaled_sinh", K=2.0)
