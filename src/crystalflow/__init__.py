@@ -13,7 +13,6 @@ from .config import ExperimentConfig, build_initial_field, config_to_text, parse
 from .estimates import (
     EstimateReport,
     continuum_monitors,
-    cosh_energy,
     p_variant_energy,
     standard_reports,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "config_to_text",
     "build_initial_field",
     "EstimateReport",
-    "cosh_energy",
     "standard_reports",
     "continuum_monitors",
     "p_variant_energy",

@@ -9,15 +9,16 @@ each tagged with its source line, instead of stopping at the first.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .estimates import REPORT_NAMES
-from .exceptions import ConfigError
+from .exceptions import ConfigError, CrystalflowError
 from .grid import FLOAT_FMT, Field, Grid, load_field
-from .nonlinearity import Variant, make_variant
+from .nonlinearity import VARIANT_PARAMS, Variant
 from .stepper import SchemeParams
 
 __all__ = [
@@ -29,8 +30,19 @@ __all__ = [
     "build_initial_field",
 ]
 
-PROFILE_KINDS = ("constant", "cosine", "gaussian_bump", "random_smooth", "snapshot")
-VARIANT_KINDS = ("sinh", "exp", "scaled_sinh", "p_exponent", "linear")
+# the [initial] keys of each profile with their value types; all are
+# required but _OPTIONAL_KEYS, which InitialSpec defaults
+PROFILE_KEYS = {
+    "constant": {"c": "real"},
+    "cosine": {"amplitude": "real", "mode": "integer"},
+    "gaussian_bump": {"amplitude": "real", "width": "real"},
+    "random_smooth": {"amplitude": "real", "seed": "integer"},
+    "snapshot": {"path": "string"},
+}
+_OPTIONAL_KEYS = ("mode", "width")
+
+# the format's own defaults; SchemeParams leaves tau and horizon to the caller
+_SCHEME_DEFAULTS = {"tau": 0.01, "horizon": 0.1}
 
 
 @dataclass(frozen=True)
@@ -46,12 +58,30 @@ class InitialSpec:
     seed: int | None = None
     path: str | None = None
 
+    def __post_init__(self):
+        if self.mode < 1:
+            raise ValueError("cosine mode must be >= 1")
+        if self.width <= 0:
+            raise ValueError("gaussian_bump width must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("random_smooth seed must be >= 0")
+
 
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
     snapshot_stride: int = 0
     reports: tuple = REPORT_NAMES
+
+    def __post_init__(self):
+        bad = [name for name in self.reports if name not in REPORT_NAMES]
+        if bad:
+            raise ValueError(
+                f"unknown report name(s) {', '.join(bad)}; "
+                f"choose from {', '.join(REPORT_NAMES)}"
+            )
+        if self.snapshot_stride < 0:
+            raise ValueError("snapshot_stride must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,6 +134,23 @@ def _finite(text: str) -> float:
     return value
 
 
+# value type -> (parser, what a violation says the value must be)
+_TYPES = {
+    "real": (_finite, "a finite real number"),
+    "integer": (int, "an integer"),
+    "string": (str, "a string"),
+    "names": (lambda s: tuple(part.strip() for part in s.split(",") if part.strip()), "a string"),
+    "real_list": (lambda s: tuple(_finite(part) for part in s.split(",")),
+                  "a comma-separated list of finite reals"),
+    "int_list": (lambda s: tuple(int(part) for part in s.split(",")),
+                 "a comma-separated list of integers"),
+}
+
+# the keys of [scheme] and [output], each the field of the same name
+_SCHEME_KEYS = {f.name: "real" for f in fields(SchemeParams)}
+_OUTPUT_KEYS = {"directory": "string", "snapshot_stride": "integer", "reports": "names"}
+
+
 class _SectionReader:
     """Typed accessors over one raw section, accumulating violations."""
 
@@ -113,47 +160,39 @@ class _SectionReader:
         self.violations = violations
         self.ok = True
 
-    def _take(self, key, default, required):
+    def read(self, key, kind, required=False):
+        """The parsed value of key, or None when it is absent or malformed."""
         if key not in self.raw:
             if required:
                 self.violations.append(f"[{self.name}] missing required key {key!r}")
                 self.ok = False
-            return None, default
-        return self.raw.pop(key), None
-
-    def _parse(self, key, conv, typename, default=None, required=False):
-        entry, fallback = self._take(key, default, required)
-        if entry is None:
-            return fallback
-        value, lineno = entry
+            return None
+        value, lineno = self.raw.pop(key)
+        conv, typename = _TYPES[kind]
         try:
             return conv(value)
         except (ValueError, TypeError):
             self.violations.append(f"line {lineno}: {key!r} must be {typename}, got {value!r}")
             self.ok = False
-            return default
+            return None
 
-    def real(self, key, default=None, required=False):
-        return self._parse(key, _finite, "a finite real number", default, required)
-
-    def integer(self, key, default=None, required=False):
-        return self._parse(key, int, "an integer", default, required)
-
-    def string(self, key, default=None, required=False):
-        return self._parse(key, str, "a string", default, required)
-
-    def real_list(self, key, default=None, required=False):
-        conv = lambda s: tuple(_finite(part) for part in s.split(","))
-        return self._parse(key, conv, "a comma-separated list of finite reals", default, required)
-
-    def int_list(self, key, default=None, required=False):
-        conv = lambda s: tuple(int(part) for part in s.split(","))
-        return self._parse(key, conv, "a comma-separated list of integers", default, required)
+    def read_given(self, keys: dict, required=()) -> dict:
+        """{key: value} for each key of keys the section sets and that parses."""
+        values = {key: self.read(key, kind, key in required) for key, kind in keys.items()}
+        return {key: value for key, value in values.items() if value is not None}
 
     def finish(self):
         for key, (_, lineno) in self.raw.items():
             self.violations.append(f"line {lineno}: unknown key {key!r} in [{self.name}]")
             self.ok = False
+
+    def build(self, cls, values):
+        """cls(**values), or None with the reason as a violation."""
+        try:
+            return cls(**values)
+        except (ValueError, CrystalflowError) as err:
+            self.violations.append(f"[{self.name}] {err}")
+            return None
 
 
 def parse_config(text) -> ExperimentConfig:
@@ -187,184 +226,94 @@ def parse_config(text) -> ExperimentConfig:
 
 def _parse_grid(raw, violations):
     r = _SectionReader("grid", raw, violations)
-    dim = r.integer("dim", required=True)
-    nodes = r.int_list("nodes", required=True)
-    extent = r.real_list("extent", default=None)
+    dim = r.read("dim", "integer", required=True)
+    nodes = r.read("nodes", "int_list", required=True)
+    extent = r.read("extent", "real_list")
     r.finish()
-    if not r.ok or dim is None or nodes is None:
+    if not r.ok:
         return None
     if extent is None:
-        extent = tuple(1.0 for _ in range(dim or 1))
-    try:
-        return Grid(dim=dim, extents=extent, nodes=nodes)
-    except Exception as err:
-        violations.append(f"[grid] {err}")
-        return None
+        extent = tuple(1.0 for _ in range(dim))
+    return r.build(Grid, {"dim": dim, "extents": extent, "nodes": nodes})
 
 
 def _parse_initial(raw, violations):
     r = _SectionReader("initial", raw, violations)
-    profile = r.string("profile", required=True)
+    profile = r.read("profile", "string", required=True)
     spec = None
-    if profile is not None and profile not in PROFILE_KINDS:
+    if profile is not None and profile not in PROFILE_KEYS:
         violations.append(
-            f"[initial] unknown profile {profile!r}; choose from {', '.join(PROFILE_KINDS)}"
+            f"[initial] unknown profile {profile!r}; choose from {', '.join(PROFILE_KEYS)}"
         )
-        profile = None
-    if profile == "constant":
-        c = r.real("c", required=True)
-        if r.ok:
-            spec = InitialSpec(profile="constant", c=c)
-    elif profile == "cosine":
-        amplitude = r.real("amplitude", required=True)
-        mode = r.integer("mode", default=1)
-        if r.ok:
-            spec = InitialSpec(profile="cosine", amplitude=amplitude, mode=mode)
-        if mode is not None and mode < 1:
-            violations.append("[initial] cosine mode must be >= 1")
-            spec = None
-    elif profile == "gaussian_bump":
-        amplitude = r.real("amplitude", required=True)
-        width = r.real("width", default=0.1)
-        if width is not None and width <= 0:
-            violations.append("[initial] gaussian_bump width must be positive")
-        elif r.ok:
-            spec = InitialSpec(profile="gaussian_bump", amplitude=amplitude, width=width)
-    elif profile == "random_smooth":
-        amplitude = r.real("amplitude", required=True)
-        seed = r.integer("seed", required=True)
-        if seed is not None and seed < 0:
-            violations.append("[initial] random_smooth seed must be >= 0")
-        elif r.ok and seed is not None:
-            spec = InitialSpec(profile="random_smooth", amplitude=amplitude, seed=seed)
-    elif profile == "snapshot":
-        path = r.string("path", required=True)
-        if r.ok:
-            spec = InitialSpec(profile="snapshot", path=path)
+    elif profile is not None:
+        keys = PROFILE_KEYS[profile]
+        values = r.read_given(keys, required=[key for key in keys if key not in _OPTIONAL_KEYS])
+        # built even when a key is missing, so a bad value is reported too
+        spec = r.build(InitialSpec, {"profile": profile, **values})
     r.finish()
-    return spec
+    return spec if r.ok else None
 
 
 def _parse_scheme(raw, violations):
     r = _SectionReader("scheme", raw, violations)
-    kwargs = {
-        "tau": r.real("tau", default=0.01),
-        "horizon": r.real("horizon", default=0.1),
-        "reg_eps": r.real("reg_eps", default=None),
-        "picard_tol": r.real("picard_tol", default=1e-10),
-        "sinh_arg_cap": r.real("sinh_arg_cap", default=700.0),
-    }
+    values = r.read_given(_SCHEME_KEYS)
     r.finish()
-    if not r.ok:
-        return None
-    try:
-        return SchemeParams(**kwargs)
-    except ValueError as err:
-        violations.append(f"[scheme] {err}")
-        return None
+    return r.build(SchemeParams, {**_SCHEME_DEFAULTS, **values}) if r.ok else None
 
 
 def _parse_variant(raw, violations):
     r = _SectionReader("variant", raw, violations)
-    kind = r.string("kind", default="sinh")
-    kwargs = {}
+    kind = r.read("kind", "string")
+    kind = "sinh" if kind is None else kind
+    key = VARIANT_PARAMS.get(kind)
+    param = None if key is None else r.read(key, "real", required=True)
     if kind == "scaled_sinh":
-        kwargs["K"] = r.real("K", required=True)
         # config.txt files written before f = sinh(K s)/K was the only
         # scaled_sinh say so; any other value named a variant that is gone
-        normalized = r.string("normalized", default="true")
-        if normalized.lower() not in ("true", "yes", "1"):
+        normalized = r.read("normalized", "string")
+        if normalized is not None and normalized.lower() not in ("true", "yes", "1"):
             violations.append(
                 f"[variant] normalized = {normalized} is not supported; "
                 "scaled_sinh is always sinh(K s)/K"
             )
-    elif kind == "p_exponent":
-        kwargs["p"] = r.real("p", required=True)
     r.finish()
-    if not r.ok:
-        return None
-    if kind not in VARIANT_KINDS:
-        violations.append(f"[variant] unknown kind {kind!r}; choose from {', '.join(VARIANT_KINDS)}")
-        return None
-    if any(v is None for v in kwargs.values()):
-        return None
-    try:
-        return make_variant(kind, **kwargs)
-    except ValueError as err:
-        violations.append(f"[variant] {err}")
-        return None
+    return r.build(Variant, {"name": kind, "param": param}) if r.ok else None
 
 
 def _parse_output(raw, violations):
     r = _SectionReader("output", raw, violations)
-    directory = r.string("directory", default="out")
-    stride = r.integer("snapshot_stride", default=0)
-    reports_raw = r.string("reports", default=",".join(REPORT_NAMES))
+    values = r.read_given(_OUTPUT_KEYS)
     r.finish()
-    if not r.ok:
-        return None
-    reports = tuple(part.strip() for part in reports_raw.split(",") if part.strip())
-    bad = [name for name in reports if name not in REPORT_NAMES]
-    if bad:
-        violations.append(
-            f"[output] unknown report name(s) {', '.join(bad)}; "
-            f"choose from {', '.join(REPORT_NAMES)}"
-        )
-        return None
-    if stride is not None and stride < 0:
-        violations.append("[output] snapshot_stride must be >= 0")
-        return None
-    return OutputSpec(directory=directory, snapshot_stride=stride, reports=reports)
+    return r.build(OutputSpec, values) if r.ok else None
 
 
 # -- serialization ------------------------------------------------------------
 
+def _text(value) -> str:
+    """A value as config.txt writes it; reals keep all 17 digits."""
+    if isinstance(value, tuple):
+        return ",".join(_text(part) for part in value)
+    return FLOAT_FMT % value if isinstance(value, float) else str(value)
+
+
+def _lines(obj, keys) -> list:
+    """`key = value` for each of keys that obj sets, the key naming its field."""
+    return [f"{key} = {_text(getattr(obj, key))}" for key in keys if getattr(obj, key) is not None]
+
+
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse_config(config_to_text(cfg)) == cfg."""
-    lines = ["[grid]"]
-    lines.append(f"dim = {cfg.grid.dim}")
-    lines.append("nodes = " + ",".join(str(n) for n in cfg.grid.nodes))
-    lines.append("extent = " + ",".join(FLOAT_FMT % e for e in cfg.grid.extents))
-
-    ic = cfg.initial
-    lines.append("[initial]")
-    lines.append(f"profile = {ic.profile}")
-    if ic.profile == "constant":
-        lines.append(f"c = {FLOAT_FMT % ic.c}")
-    elif ic.profile == "cosine":
-        lines.append(f"amplitude = {FLOAT_FMT % ic.amplitude}")
-        lines.append(f"mode = {ic.mode}")
-    elif ic.profile == "gaussian_bump":
-        lines.append(f"amplitude = {FLOAT_FMT % ic.amplitude}")
-        lines.append(f"width = {FLOAT_FMT % ic.width}")
-    elif ic.profile == "random_smooth":
-        lines.append(f"amplitude = {FLOAT_FMT % ic.amplitude}")
-        lines.append(f"seed = {ic.seed}")
-    elif ic.profile == "snapshot":
-        lines.append(f"path = {ic.path}")
-
-    sp = cfg.scheme
-    lines.append("[scheme]")
-    lines.append(f"tau = {FLOAT_FMT % sp.tau}")
-    lines.append(f"horizon = {FLOAT_FMT % sp.horizon}")
-    if sp.reg_eps is not None:
-        lines.append(f"reg_eps = {FLOAT_FMT % sp.reg_eps}")
-    lines.append(f"picard_tol = {FLOAT_FMT % sp.picard_tol}")
-    lines.append(f"sinh_arg_cap = {FLOAT_FMT % sp.sinh_arg_cap}")
-
-    v = cfg.variant
-    lines.append("[variant]")
-    lines.append(f"kind = {v.name}")
-    if v.name == "scaled_sinh":
-        lines.append(f"K = {FLOAT_FMT % v.arg_scale}")
-    elif v.name == "p_exponent":
-        lines.append(f"p = {FLOAT_FMT % v.p}")
-
-    out = cfg.output
-    lines.append("[output]")
-    lines.append(f"directory = {out.directory}")
-    lines.append(f"snapshot_stride = {out.snapshot_stride}")
-    lines.append("reports = " + ",".join(out.reports))
+    grid, initial, variant = cfg.grid, cfg.initial, cfg.variant
+    lines = ["[grid]", f"dim = {grid.dim}", f"nodes = {_text(grid.nodes)}",
+             f"extent = {_text(grid.extents)}"]
+    lines += ["[initial]", f"profile = {initial.profile}"]
+    lines += _lines(initial, PROFILE_KEYS[initial.profile])
+    lines += ["[scheme]"] + _lines(cfg.scheme, _SCHEME_KEYS)
+    lines += ["[variant]", f"kind = {variant.name}"]
+    key = VARIANT_PARAMS[variant.name]
+    if key is not None:
+        lines.append(f"{key} = {_text(variant.param)}")
+    lines += ["[output]"] + _lines(cfg.output, _OUTPUT_KEYS)
     return "\n".join(lines) + "\n"
 
 
@@ -419,30 +368,23 @@ def _random_smooth(grid: Grid, amplitude: float, seed: int) -> Field:
     sup-norm. Every mode has zero normal derivative, so the sum does too."""
     rng = np.random.default_rng(seed)
     max_mode = 4
-    # coefficients fall off like the squared Laplacian eigenvalue, so the
-    # normalized field keeps moderate curvature and the exponent field it
-    # induces stays far from the hyperbolic overflow regime
-    if grid.dim == 1:
-        (x,) = grid.coords()
-        values = np.zeros_like(x)
-        for m in range(1, max_mode + 1):
-            lam = (m * np.pi / grid.extents[0]) ** 2
-            coeff = rng.standard_normal() / (1.0 + lam * lam)
-            values += coeff * np.cos(m * np.pi * x / grid.extents[0])
-    else:
-        x, y = grid.coords()
-        values = np.zeros_like(x)
-        for mx in range(0, max_mode + 1):
-            for my in range(0, max_mode + 1):
-                lam = (mx * np.pi / grid.extents[0]) ** 2 + (my * np.pi / grid.extents[1]) ** 2
-                coeff = rng.standard_normal() / (1.0 + lam * lam)
-                if mx == 0 and my == 0:
-                    continue
-                values += (
-                    coeff
-                    * np.cos(mx * np.pi * x / grid.extents[0])
-                    * np.cos(my * np.pi * y / grid.extents[1])
-                )
+    coords = grid.coords()
+    values = np.zeros_like(coords[0])
+    # modes start at 1 in 1-D and at 0 per axis otherwise, drawing (and
+    # skipping) the constant mode; either way the seed keeps its field
+    first = 1 if grid.dim == 1 else 0
+    for modes in itertools.product(range(first, max_mode + 1), repeat=grid.dim):
+        # coefficients fall off like the squared Laplacian eigenvalue, so the
+        # normalized field keeps moderate curvature and the exponent field it
+        # induces stays far from the hyperbolic overflow regime
+        lam = sum((m * np.pi / length) ** 2 for m, length in zip(modes, grid.extents))
+        coeff = rng.standard_normal() / (1.0 + lam * lam)
+        if not any(modes):
+            continue
+        term = coeff
+        for m, x, length in zip(modes, coords, grid.extents):
+            term = term * np.cos(m * np.pi * x / length)
+        values += term
     top = np.abs(values).max()
     if top > 0:
         values = values * (amplitude / top)

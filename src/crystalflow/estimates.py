@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exceptions import InvalidInputError, OverflowCapError
+from .exceptions import InvalidInputError
 from .grid import FLOAT_FMT, Field, grad_sq_integral, laplacian_matrix
 from .stepper import Trajectory
 
@@ -49,7 +49,6 @@ __all__ = [
     "REPORT_NAMES",
     "EstimateReport",
     "MonitorSeries",
-    "cosh_energy",
     "standard_reports",
     "continuum_monitors",
     "p_variant_energy",
@@ -89,18 +88,6 @@ class EstimateReport:
     @property
     def passed(self) -> bool:
         return self.margin >= -self.abs_tol
-
-
-def cosh_energy(w: Field, cap: float = 700.0) -> float:
-    """int cosh(w) over the box; at least |Omega|, with equality iff w = 0."""
-    top = float(np.abs(w.values).max())
-    if top > cap:
-        raise OverflowCapError(
-            f"|w| = {top:.6g} exceeds the overflow cap {cap:.6g}",
-            max_abs=top,
-            cap=cap,
-        )
-    return float(w.grid.quad_weights() @ np.cosh(w.values))
 
 
 def _require_hyperbolic(traj: Trajectory):
@@ -335,7 +322,7 @@ def continuum_monitors(traj: Trajectory) -> MonitorSeries:
     return MonitorSeries(traj.times(), mass, dirichlet, energy, rate)
 
 
-def p_variant_energy(traj: Trajectory, p: float) -> EstimateReport:
+def p_variant_energy(traj: Trajectory) -> EstimateReport:
     """Dissipation law for the p-Laplacian exponent variant (1-D).
 
     For every K >= 1,
@@ -344,10 +331,10 @@ def p_variant_energy(traj: Trajectory, p: float) -> EstimateReport:
         + p sum_{k<=K} tau [ int grad f(w_k) . grad w_k + r ||w_k||^2 ]
             <= Phi_0 + (p r / 2) M_0
 
-    with Phi = int |grad u|^p over half-node gradients. The mixed-gradient
-    integral is the discrete stand-in for the flux-Laplacian dissipation
-    and is nonnegative since f is increasing, so Phi itself is
-    non-increasing along the run.
+    with p the exponent of the trajectory's variant and Phi = int |grad u|^p
+    over half-node gradients. The mixed-gradient integral is the discrete
+    stand-in for the flux-Laplacian dissipation and is nonnegative since f
+    is increasing, so Phi itself is non-increasing along the run.
     """
     v = traj.variant
     if v.p is None or traj.grid.dim != 1:
@@ -355,9 +342,7 @@ def p_variant_energy(traj: Trajectory, p: float) -> EstimateReport:
             f"p_variant_energy applies to 1-D p-exponent trajectories, got "
             f"variant {v.name!r} on a {traj.grid.dim}-D grid"
         )
-    if abs(float(p) - v.p) > 0:
-        raise InvalidInputError(f"exponent mismatch: trajectory has p = {v.p}, asked for {p}")
-
+    p = v.p
     grid = traj.grid
     qw = grid.quad_weights()
     lap = laplacian_matrix(grid)

@@ -123,7 +123,7 @@ def _applicable_reports(cfg: ExperimentConfig, traj: Trajectory) -> list[Estimat
     """The reports a run of cfg gets; run_experiment and verify_run both ask here."""
     variant = cfg.variant
     if variant.p is not None:
-        return [p_variant_energy(traj, variant.p)]
+        return [p_variant_energy(traj)]
     if not variant.hyperbolic:
         return []
     return standard_reports(traj, cfg.output.reports)

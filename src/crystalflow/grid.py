@@ -19,6 +19,7 @@ every stored CSV, bitwise stable.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -70,6 +71,9 @@ class Grid:
             raise ValueError(f"extents must be positive, got {self.extents}")
         if any(n < 3 for n in self.nodes):
             raise ValueError(f"need at least 3 nodes per axis, got {self.nodes}")
+        # every operator scales by 1/h^2, which must be a finite number
+        if any(h**2 == 0 or math.isinf(1.0 / h**2) for h in self.spacing):
+            raise ValueError(f"grid spacing {self.spacing} is too small: 1/h^2 overflows")
 
     @property
     def spacing(self) -> tuple[float, ...]:

@@ -17,14 +17,15 @@ import numpy as np
 from .exceptions import ArgumentError, OverflowCapError
 
 __all__ = [
+    "VARIANT_PARAMS",
     "Variant",
     "sinh_variant",
-    "exp_variant",
-    "scaled_sinh_variant",
-    "p_exponent_variant",
-    "linear_variant",
     "make_variant",
 ]
+
+# every variant kind, with the config key of its one parameter, if any
+VARIANT_PARAMS = {"sinh": None, "exp": None, "scaled_sinh": "K", "p_exponent": "p",
+                  "linear": None}
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,43 @@ class Variant:
     """One choice of current nonlinearity f.
 
     Attributes:
-        name: stable identifier used in configs and reports
-        p: p-Laplacian exponent when the variant replaces -Laplacian u by
-            -Laplacian_p u (1-D only), else None
-        arg_scale: K of f = sinh(K s)/K; 1 for every variant but scaled_sinh
+        name: stable identifier used in configs and reports; a VARIANT_PARAMS kind
+        param: the kind's parameter (K of scaled_sinh, p of p_exponent), else None
     """
 
     name: str
-    p: float | None = None
-    arg_scale: float = 1.0
+    param: float | None = None
+
+    def __post_init__(self):
+        if self.name not in VARIANT_PARAMS:
+            kinds = ", ".join(VARIANT_PARAMS)
+            raise ArgumentError(f"unknown kind {self.name!r}; choose from {kinds}")
+        key = VARIANT_PARAMS[self.name]
+        if (key is None) != (self.param is None):
+            need = f"needs its parameter {key}" if key else "takes no parameter"
+            raise ArgumentError(f"variant kind {self.name!r} {need}")
+        if key is not None:
+            object.__setattr__(self, "param", float(self.param))
+        if key == "p" and self.param < 2:
+            raise ArgumentError(f"p-Laplacian exponent must satisfy p >= 2, got {self.param}")
+        if key == "K" and self.param <= 0:
+            raise ArgumentError(f"scale K must be positive, got {self.param}")
+        # the energy density cosh(K w)/K/K must be finite even at w = 0
+        if key == "K" and not np.isfinite(1.0 / self.param / self.param):
+            raise ArgumentError(
+                f"scale K = {self.param} is too small for cosh(K w)/K^2; "
+                "kind = linear is the K -> 0 limit"
+            )
+
+    @property
+    def p(self) -> float | None:
+        """p-Laplacian exponent of the 1-D p_exponent variant, else None."""
+        return self.param if self.name == "p_exponent" else None
+
+    @property
+    def arg_scale(self) -> float:
+        """K of f = sinh(K s)/K; 1 for every variant but scaled_sinh."""
+        return self.param if self.name == "scaled_sinh" else 1.0
 
     @property
     def hyperbolic(self) -> bool:
@@ -51,7 +80,9 @@ class Variant:
     # -- evaluation ----------------------------------------------------------
 
     def check_cap(self, w: np.ndarray, cap: float, step_index=None) -> None:
-        scaled = np.abs(w).max() * abs(self.arg_scale)
+        # e^w cannot overflow for negative w, so exp is capped from above only
+        top = w.max() if self.name == "exp" else np.abs(w).max()
+        scaled = top * abs(self.arg_scale)
         if scaled > cap:
             raise OverflowCapError(
                 f"|argument| = {scaled:.6g} exceeds sinh_arg_cap = {cap:.6g}; "
@@ -94,43 +125,10 @@ def sinh_variant() -> Variant:
     return Variant(name="sinh")
 
 
-def exp_variant() -> Variant:
-    return Variant(name="exp")
-
-
-def scaled_sinh_variant(k: float) -> Variant:
-    if k <= 0:
-        raise ValueError(f"scale K must be positive, got {k}")
-    return Variant(name="scaled_sinh", arg_scale=float(k))
-
-
-def p_exponent_variant(p: float) -> Variant:
-    if p < 2:
-        raise ValueError(f"p-Laplacian exponent must satisfy p >= 2, got {p}")
-    return Variant(name="p_exponent", p=float(p))
-
-
-def linear_variant() -> Variant:
-    """f(s) = s; the K -> 0 limit of scaled_sinh."""
-    return Variant(name="linear")
-
-
-# the parameter each parametrized kind cannot be built without
-_REQUIRED_PARAM = {"scaled_sinh": "K", "p_exponent": "p"}
-
-
-def make_variant(kind: str, **kwargs) -> Variant:
-    needed = _REQUIRED_PARAM.get(kind)
-    if needed is not None and needed not in kwargs:
-        raise ArgumentError(f"variant kind {kind!r} needs its parameter {needed}")
-    if kind == "sinh":
-        return sinh_variant()
-    if kind == "exp":
-        return exp_variant()
-    if kind == "scaled_sinh":
-        return scaled_sinh_variant(kwargs["K"])
-    if kind == "p_exponent":
-        return p_exponent_variant(kwargs["p"])
-    if kind == "linear":
-        return linear_variant()
-    raise ArgumentError(f"unknown variant kind {kind!r}")
+def make_variant(kind: str, **params) -> Variant:
+    """The variant of kind, its parameter passed by config key:
+    make_variant("exp"), make_variant("scaled_sinh", K=2.0)."""
+    variant = Variant(kind, params.pop(VARIANT_PARAMS.get(kind), None))
+    if params:
+        raise ArgumentError(f"variant kind {kind!r} takes no parameter {', '.join(params)}")
+    return variant

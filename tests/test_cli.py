@@ -42,6 +42,8 @@ UNUSABLE_CASES = {
     "cap-nan": {"tau = 0.01": "tau = 0.01\nsinh_arg_cap = nan"},
     "extent-inf": {"nodes = 65": "nodes = 65\nextent = inf"},
     "extent-nan": {"nodes = 65": "nodes = 65\nextent = nan"},
+    "extent-tiny": {"nodes = 65": "nodes = 33\nextent = 1e-300"},
+    "K-tiny": {"[output]": "[variant]\nkind = scaled_sinh\nK = 1e-200\n\n[output]"},
     "amplitude-nan": {"amplitude = 0.1": "amplitude = nan"},
     "c-inf": {"profile = cosine\namplitude = 0.1": "profile = constant\nc = inf"},
     "random-amplitude-inf": {

@@ -5,6 +5,7 @@ import pytest
 
 from crystalflow.config import (
     ExperimentConfig,
+    _random_smooth,
     build_initial_field,
     config_to_text,
     parse_config,
@@ -123,6 +124,86 @@ class TestParsing:
         assert exc.value.violations[0].startswith("[variant] normalized")
 
 
+# config_to_text(parse_config(MINIMAL)), byte for byte; the cases below
+# each change one section of it
+MINIMAL_TEXT = """[grid]
+dim = 1
+nodes = 65
+extent = 1
+[initial]
+profile = cosine
+amplitude = 0.10000000000000001
+mode = 1
+[scheme]
+tau = 0.01
+horizon = 0.10000000000000001
+picard_tol = 1e-10
+sinh_arg_cap = 700
+[variant]
+kind = sinh
+[output]
+directory = out
+snapshot_stride = 0
+reports = prop31,prop32,prop33
+"""
+
+# (edit of MINIMAL, the lines that replace its section in MINIMAL_TEXT)
+TEXT_CASES = {
+    "constant": ("profile = constant\nc = 2.5", "profile = constant\nc = 2.5\n"),
+    "cosine": (
+        "profile = cosine\namplitude = 0.2\nmode = 3",
+        "profile = cosine\namplitude = 0.20000000000000001\nmode = 3\n",
+    ),
+    "gaussian_bump": (
+        "profile = gaussian_bump\namplitude = 0.3",
+        "profile = gaussian_bump\namplitude = 0.29999999999999999\n"
+        "width = 0.10000000000000001\n",
+    ),
+    "random_smooth": (
+        "profile = random_smooth\namplitude = 0.4\nseed = 9",
+        "profile = random_smooth\namplitude = 0.40000000000000002\nseed = 9\n",
+    ),
+    "snapshot": (
+        "profile = snapshot\npath = /tmp/u0.csv",
+        "profile = snapshot\npath = /tmp/u0.csv\n",
+    ),
+    "sinh": ("[variant]\nkind = sinh\n", "kind = sinh\n"),
+    "exp": ("[variant]\nkind = exp\n", "kind = exp\n"),
+    "scaled_sinh": ("[variant]\nkind = scaled_sinh\nK = 0.25\n", "kind = scaled_sinh\nK = 0.25\n"),
+    "legacy_normalized": (
+        "[variant]\nkind = scaled_sinh\nK = 2\nnormalized = true\n",
+        "kind = scaled_sinh\nK = 2\n",
+    ),
+    "p_exponent": ("[variant]\nkind = p_exponent\np = 3\n", "kind = p_exponent\np = 3\n"),
+    "linear": ("[variant]\nkind = linear\n", "kind = linear\n"),
+    "scheme": (
+        "[scheme]\ntau = 0.005\nhorizon = 0.02\nreg_eps = 0.0001\npicard_tol = 1e-9\n"
+        "sinh_arg_cap = 50\n",
+        "tau = 0.0050000000000000001\nhorizon = 0.02\nreg_eps = 0.0001\n"
+        "picard_tol = 1.0000000000000001e-09\nsinh_arg_cap = 50\n",
+    ),
+    "output": (
+        "[output]\ndirectory = elsewhere\nsnapshot_stride = 2\nreports = prop33, prop31\n",
+        "directory = elsewhere\nsnapshot_stride = 2\nreports = prop33,prop31\n",
+    ),
+}
+
+
+class TestCanonicalText:
+    @pytest.mark.parametrize("case", TEXT_CASES)
+    def test_config_text_bytes(self, case):
+        edit, section_text = TEXT_CASES[case]
+        if edit.startswith("["):
+            text = MINIMAL + "\n" + edit
+            section = edit[1:edit.index("]")]
+        else:
+            text = MINIMAL.replace("profile = cosine\namplitude = 0.1", edit)
+            section = "initial"
+        head, rest = MINIMAL_TEXT.split(f"[{section}]\n")
+        tail = rest[rest.index("["):] if "[" in rest else ""
+        assert config_to_text(parse_config(text)) == f"{head}[{section}]\n{section_text}{tail}"
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "extra",
@@ -209,6 +290,21 @@ class TestProfiles:
         b = build_initial_field(parse_config(text))
         assert np.array_equal(a.values, b.values)
         assert np.abs(a.values).max() == pytest.approx(0.4, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "grid, seed, pinned",
+        [
+            (Grid(1, (1.0,), (65,)), 0, {0: 0.4440689367614932, 21: 0.21308007826371902}),
+            (Grid(1, (3.0,), (33,)), 7, {11: -0.11278015006406635, 32: 0.391683011342463}),
+            (Grid(2, (1.0, 1.0), (17, 17)), 3, {96: 0.21881118185919501, 288: 0.35434933893896525}),
+            (Grid(2, (1.3, 0.7), (21, 13)), 5, {0: -0.13739761572499157, 272: 0.0660167909735287}),
+        ],
+    )
+    def test_random_smooth_stream_pinned(self, grid, seed, pinned):
+        """Each dimension keeps its seeded field bit for bit, so a stored
+        random_smooth run reproduces."""
+        values = _random_smooth(grid, 0.5, seed).values
+        assert {i: values[i] for i in pinned} == pinned
 
     def test_random_smooth_2d(self):
         text = "\n".join(

@@ -9,7 +9,6 @@ from crystalflow.config import _random_smooth
 from crystalflow.estimates import (
     EstimateReport,
     continuum_monitors,
-    cosh_energy,
     mass_identity_residuals,
     p_variant_energy,
     standard_reports,
@@ -17,8 +16,8 @@ from crystalflow.estimates import (
     write_terms_csv,
 )
 from crystalflow.exceptions import InvalidInputError, OverflowCapError
-from crystalflow.grid import Field, Grid
-from crystalflow.nonlinearity import exp_variant, make_variant
+from crystalflow.grid import Field, Grid, integrate
+from crystalflow.nonlinearity import make_variant, sinh_variant
 from crystalflow.stepper import SchemeParams, run
 
 
@@ -27,23 +26,28 @@ def grid1d():
     return Grid(1, (1.0,), (65,))
 
 
+def _cosh_energy(w: Field) -> float:
+    """int F(w) for f = sinh, the energy C of the reports."""
+    return integrate(Field(w.grid, sinh_variant().antiderivative(w.values)))
+
+
 class TestCoshEnergy:
     def test_zero_field(self, grid1d):
-        assert cosh_energy(Field.constant(grid1d, 0.0)) == pytest.approx(1.0, rel=1e-14)
+        assert _cosh_energy(Field.constant(grid1d, 0.0)) == pytest.approx(1.0, rel=1e-14)
 
     def test_unit_field(self, grid1d):
-        assert cosh_energy(Field.constant(grid1d, 1.0)) == pytest.approx(
+        assert _cosh_energy(Field.constant(grid1d, 1.0)) == pytest.approx(
             np.cosh(1.0), rel=1e-13
         )
 
     def test_lower_bound(self, grid1d):
         rng = np.random.default_rng(0)
         f = Field(grid1d, rng.standard_normal(grid1d.num_nodes))
-        assert cosh_energy(f) >= grid1d.measure
+        assert _cosh_energy(f) >= grid1d.measure
 
     def test_cap_enforced(self, grid1d):
         with pytest.raises(OverflowCapError):
-            cosh_energy(Field.constant(grid1d, 800.0))
+            sinh_variant().check_cap(Field.constant(grid1d, 800.0).values, 700.0)
 
 
 @pytest.fixture(scope="module")
@@ -182,14 +186,14 @@ class TestReportStructure:
             assert rep.margin > 0
 
     def test_terms_sum_to_sides(self, cosine_traj, p3_traj):
-        for rep in standard_reports(cosine_traj) + [p_variant_energy(p3_traj, 3.0)]:
+        for rep in standard_reports(cosine_traj) + [p_variant_energy(p3_traj)]:
             lhs_sum = sum(v for k, v in rep.terms.items() if not k.startswith("rhs_"))
             rhs_sum = sum(v for k, v in rep.terms.items() if k.startswith("rhs_"))
             assert lhs_sum == pytest.approx(rep.lhs, rel=1e-12)
             assert rhs_sum == pytest.approx(rep.rhs, rel=1e-12)
 
     def test_term_layout_of_terms_csv(self, cosine_traj, p3_traj):
-        reports = standard_reports(cosine_traj) + [p_variant_energy(p3_traj, 3.0)]
+        reports = standard_reports(cosine_traj) + [p_variant_energy(p3_traj)]
         buf = io.StringIO()
         write_terms_csv(reports, buf)
         rows = [line.split(",")[:2] for line in buf.getvalue().splitlines()[1:]]
@@ -221,7 +225,7 @@ class TestReportStructure:
         traj = run(
             _random_smooth(grid1d, 0.2, seed=1),
             SchemeParams(tau=0.01, horizon=0.02),
-            exp_variant(),
+            make_variant("exp"),
         )
         with pytest.raises(InvalidInputError, match="variant"):
             standard_reports(traj, ("prop31",))
@@ -282,23 +286,14 @@ class TestPVariantEnergy:
             _random_smooth(grid1d, 0.2, seed=2), SchemeParams(tau=0.01, horizon=0.02)
         )
         with pytest.raises(InvalidInputError):
-            p_variant_energy(traj, 3.0)
-
-    def test_exponent_must_match(self, grid1d):
-        traj = run(
-            Field.constant(grid1d, 0.5),
-            SchemeParams(tau=0.1, horizon=0.2),
-            make_variant("p_exponent", p=3.0),
-        )
-        with pytest.raises(InvalidInputError, match="mismatch"):
-            p_variant_energy(traj, 4.0)
+            p_variant_energy(traj)
 
     def test_p3_dissipation_report(self, grid1d):
         u0 = Field.from_function(grid1d, lambda x: 0.1 * np.cos(np.pi * x))
         traj = run(
             u0, SchemeParams(tau=0.01, horizon=0.3), make_variant("p_exponent", p=3.0)
         )
-        rep = p_variant_energy(traj, 3.0)
+        rep = p_variant_energy(traj)
         assert rep.passed
 
 

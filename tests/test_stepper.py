@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from crystalflow import elliptic, stepper
 from crystalflow.config import _random_smooth, build_initial_field, parse_config
 from crystalflow.elliptic import helmholtz_matrix, lu_factor, pinned_laplacian_matrix
-from crystalflow.exceptions import OverflowCapError, SolverFailure, StepFailure
+from crystalflow.exceptions import ArgumentError, OverflowCapError, SolverFailure, StepFailure
 from crystalflow.grid import (
     Field,
     Grid,
@@ -16,7 +16,7 @@ from crystalflow.grid import (
     laplacian_matrix,
     p_laplacian_jacobian_1d,
 )
-from crystalflow.nonlinearity import exp_variant, make_variant, sinh_variant
+from crystalflow.nonlinearity import Variant, make_variant, sinh_variant
 from crystalflow.stepper import (
     SchemeParams,
     fixed_point_step,
@@ -262,7 +262,7 @@ class TestNewtonStep:
         near 1.6e10, too large to decide a 1e-9 forward match."""
         grid = Grid(2, (1.0, 1.0), (65, 65))
         params = SchemeParams(tau=1e-3, horizon=0.01)
-        variant = exp_variant()
+        variant = make_variant("exp")
         v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
         systems = []
 
@@ -459,8 +459,8 @@ class TestPCGDirection:
 
     def test_lu_path_records_no_cg(self, grid1d):
         params = SchemeParams(tau=0.01, horizon=0.01)
-        v = _random_smooth(grid1d, 0.3, seed=20)
-        _, _, diag = newton_step(v, params, (v, init_w0(v, params, exp_variant())), exp_variant())
+        v, variant = _random_smooth(grid1d, 0.3, seed=20), make_variant("exp")
+        _, _, diag = newton_step(v, params, (v, init_w0(v, params, variant)), variant)
         assert len(diag.residual_history) > 1
         assert diag.cg_iters == []
 
@@ -587,7 +587,7 @@ class TestRun:
         [
             (Grid(2, (1.0, 1.0), (17, 17)), sinh_variant()),
             (Grid(1, (1.0,), (33,)), make_variant("p_exponent", p=3.0)),
-            (Grid(1, (1.0,), (33,)), exp_variant()),
+            (Grid(1, (1.0,), (33,)), make_variant("exp")),
         ],
         ids=["sinh-2d", "p3-1d", "exp-1d"],
     )
@@ -615,7 +615,7 @@ class TestRun:
 
     def test_exp_variant_runs(self, grid1d):
         params = SchemeParams(tau=0.01, horizon=0.05)
-        traj = run(_random_smooth(grid1d, 0.3, seed=20), params, exp_variant())
+        traj = run(_random_smooth(grid1d, 0.3, seed=20), params, make_variant("exp"))
         assert all(rec.residual_inf <= 10 * params.picard_tol for rec in traj.records[1:])
 
     def test_p_variant_requires_1d(self):
@@ -653,6 +653,28 @@ class TestVariantFactories:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             make_variant("tanh")
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [("tanh", None), ("sinh", 3.0), ("exp", 1.0), ("scaled_sinh", None), ("p_exponent", None)],
+    )
+    def test_variant_checks_name_and_parameter(self, name, param):
+        with pytest.raises(ArgumentError):
+            Variant(name, param)
+
+    def test_rejects_scale_whose_energy_overflows(self):
+        # cosh(K w)/K/K is infinite already at w = 0; linear is the K -> 0 limit
+        with pytest.raises(ArgumentError, match="linear"):
+            make_variant("scaled_sinh", K=1e-200)
+
+    def test_exp_cap_is_one_sided(self):
+        # e^w cannot overflow for negative w, sinh(w) can
+        make_variant("exp").check_cap(np.array([-800.0]), 700.0)
+        for variant in (make_variant("exp"), sinh_variant()):
+            with pytest.raises(OverflowCapError):
+                variant.check_cap(np.array([800.0]), 700.0)
+        with pytest.raises(OverflowCapError):
+            sinh_variant().check_cap(np.array([-800.0]), 700.0)
 
     def test_sinh_cap_check(self):
         v = sinh_variant()
