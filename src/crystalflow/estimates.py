@@ -52,7 +52,6 @@ __all__ = [
     "standard_reports",
     "continuum_monitors",
     "p_variant_energy",
-    "mass_identity_residuals",
     "write_reports_csv",
     "write_terms_csv",
 ]
@@ -293,33 +292,43 @@ def standard_reports(traj: Trajectory, names=REPORT_NAMES) -> list[EstimateRepor
 
 @dataclass
 class MonitorSeries:
-    """Per-step continuum monitor quantities for refinement studies."""
+    """Per-record columns of trajectory.csv and variant_comparison.csv."""
 
     t: np.ndarray
     mass: np.ndarray
     dirichlet: np.ndarray
-    cosh_energy: np.ndarray
+    cosh_energy: np.ndarray  # int F(w) of the trajectory's own variant
     l2_time_derivative: np.ndarray
+    w_sup: np.ndarray
 
 
 def continuum_monitors(traj: Trajectory) -> MonitorSeries:
-    """Mass, Dirichlet energy, cosh energy and L2 rate along the trajectory."""
+    """Mass, Dirichlet energy, int F(w), L2 rate and sup |w| per record.
+
+    The one pass every per-record output column comes from. F is the
+    antiderivative of the run's own variant, the C of the reports; for sinh
+    it is cosh bit for bit, whence the name cosh_energy.
+    """
     grid = traj.grid
     qw = grid.quad_weights()
+    F = traj.variant.antiderivative
     tau = traj.params.tau
     n = len(traj.records)
     mass = np.zeros(n)
     dirichlet = np.zeros(n)
     energy = np.zeros(n)
     rate = np.zeros(n)
+    w_sup = np.zeros(n)
     for k, rec in enumerate(traj.records):
+        w = rec.w.values
         mass[k] = qw @ rec.u.values
         dirichlet[k] = grad_sq_integral(rec.u)
-        energy[k] = qw @ np.cosh(rec.w.values)
+        energy[k] = qw @ F(w)
+        w_sup[k] = np.abs(w).max()
         if k > 0:
             du = (rec.u.values - traj.records[k - 1].u.values) / tau
             rate[k] = np.sqrt(qw @ (du * du))
-    return MonitorSeries(traj.times(), mass, dirichlet, energy, rate)
+    return MonitorSeries(traj.times(), mass, dirichlet, energy, rate, w_sup)
 
 
 def p_variant_energy(traj: Trajectory) -> EstimateReport:
@@ -373,21 +382,6 @@ def p_variant_energy(traj: Trajectory) -> EstimateReport:
         ("rhs_p_dirichlet_initial", INITIAL, 1, phi),
         ("rhs_mass_initial", INITIAL, 0.5 * p * r, M),
     ])
-
-
-def mass_identity_residuals(traj: Trajectory) -> np.ndarray:
-    """|(int u_k - int u_{k-1})/tau + r int w_k| for k = 1..j.
-
-    The scheme only moves mass through the regularization leak -r int w,
-    and that identity holds at the solver tolerance independent of any
-    solver internals: it is re-derived here from the stored fields alone.
-    """
-    qw = traj.grid.quad_weights()
-    tau = traj.params.tau
-    r = traj.params.reg_weight
-    masses = np.array([qw @ rec.u.values for rec in traj.records])
-    w_int = np.array([qw @ rec.w.values for rec in traj.records])
-    return np.abs(np.diff(masses) / tau + r * w_int[1:])
 
 
 def write_reports_csv(reports: list[EstimateReport], stream: io.TextIOBase) -> None:

@@ -29,9 +29,9 @@ from .estimates import (
     write_reports_csv,
     write_terms_csv,
 )
-from .exceptions import ArgumentError, CrystalflowError
+from .exceptions import ArgumentError, CrystalflowError, OverflowCapError, StepFailure
 from .grid import FLOAT_FMT, load_field, save_field
-from .stepper import StepRecord, Trajectory, run
+from .stepper import StepRecord, Trajectory, _step_residual, init_w0, run
 
 __all__ = [
     "ExperimentResult",
@@ -68,7 +68,6 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
             "u_mean,mass,dirichlet,cosh_energy,l2_time_derivative,w_sup\n"
         )
         for k, rec in enumerate(traj.records):
-            w_sup = float(np.abs(rec.w.values).max())
             row = [
                 str(k),
                 FLOAT_FMT % monitors.t[k],
@@ -79,7 +78,7 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
                 FLOAT_FMT % monitors.dirichlet[k],
                 FLOAT_FMT % monitors.cosh_energy[k],
                 FLOAT_FMT % monitors.l2_time_derivative[k],
-                FLOAT_FMT % w_sup,
+                FLOAT_FMT % monitors.w_sup[k],
             ]
             fh.write(",".join(row) + "\n")
 
@@ -129,13 +128,34 @@ def _applicable_reports(cfg: ExperimentConfig, traj: Trajectory) -> list[Estimat
     return standard_reports(traj, cfg.output.reports)
 
 
+def _check_scheme(traj: Trajectory) -> None:
+    """Raise StepFailure naming the first stored step that misses the scheme:
+    w_0 must be init_w0(u_0) bit for bit, and every step k must meet
+    picard_tol by newton_step's residual, recomputed from u_{k-1}, u_k, w_k."""
+    params, variant = traj.params, traj.variant
+    u0, w0 = traj.records[0].u, traj.records[0].w
+    if not np.array_equal(w0.values, init_w0(u0, params, variant).values):
+        raise StepFailure("step 0: stored w_0 is not the exponent field of u_0", step_index=0)
+    for prev, rec in zip(traj.records, traj.records[1:]):
+        try:
+            res = _step_residual(traj.grid, params.tau, params.reg_weight, prev.u.values,
+                                 rec.u.values, rec.w.values, variant, params.sinh_arg_cap)
+        except OverflowCapError as err:
+            raise StepFailure(f"step {rec.k}: {err}", step_index=rec.k) from err
+        if res > params.picard_tol:
+            raise StepFailure(f"step {rec.k}: stored fields leave residual {res:.3e} above "
+                              f"picard_tol = {params.picard_tol:.3e}", res, step_index=rec.k)
+
+
 def verify_run(directory) -> list[EstimateReport]:
-    """Recompute a finished run's reports from its config.txt and snapshots.
+    """Re-check a finished run's steps (_check_scheme) and recompute its
+    reports from its config.txt and snapshots.
 
     The run must keep every step (snapshot_stride = 1); the reports are the
     ones run_experiment wrote to reports.csv, computed the same way.
     """
     cfg, traj = _reload_run(Path(directory))
+    _check_scheme(traj)
     return _applicable_reports(cfg, traj)
 
 
@@ -274,9 +294,9 @@ def compare_variants(
 ) -> dict:
     """Run the same initial data under several nonlinearities side by side.
 
-    Produces a comparison CSV with the exponent sup-norm series of every
-    variant aligned on t_k. Per-variant failures are recorded without
-    aborting the remaining variants. Every name is resolved before the first
+    Produces a comparison CSV with the continuum_monitors series w_sup and
+    int F(w) of every variant, aligned on t_k. Per-variant failures are
+    recorded without aborting the remaining variants. Every name is resolved before the first
     run starts; an unknown kind, or one that needs a parameter, raises
     ArgumentError.
     """
@@ -297,22 +317,16 @@ def compare_variants(
 
     completed = {k: r for k, r in results.items() if r.trajectory is not None}
     if completed:
+        monitors = {name: continuum_monitors(r.trajectory) for name, r in completed.items()}
         n = min(len(r.trajectory.records) for r in completed.values())
         with open(root / "variant_comparison.csv", "w", newline="\n") as fh:
-            names = list(completed)
             header = ["t"]
-            for name in names:
+            for name in monitors:
                 header += [f"w_sup_{name}", f"energy_{name}"]
             fh.write(",".join(header) + "\n")
             for k in range(n):
-                t = k * cfg.scheme.tau
-                row = [FLOAT_FMT % t]
-                for name in names:
-                    traj = completed[name].trajectory
-                    rec = traj.records[k]
-                    qw = traj.grid.quad_weights()
-                    w_sup = float(np.abs(rec.w.values).max())
-                    energy = float(qw @ traj.variant.antiderivative(rec.w.values))
-                    row += [FLOAT_FMT % w_sup, FLOAT_FMT % energy]
+                row = [FLOAT_FMT % (k * cfg.scheme.tau)]
+                for mon in monitors.values():
+                    row += [FLOAT_FMT % mon.w_sup[k], FLOAT_FMT % mon.cosh_energy[k]]
                 fh.write(",".join(row) + "\n")
     return results

@@ -1,6 +1,6 @@
 """Uniform tensor-product grids and the discrete spatial operators on them.
 
-The domain is a box in 1 or 2 dimensions. All operators impose homogeneous
+The domain is a box in 1, 2 or 3 dimensions. All operators impose homogeneous
 Neumann (zero-flux) boundary conditions through mirror ghost nodes, which
 keeps the discrete Laplacian symmetric with respect to the trapezoid
 quadrature inner product and makes summation-by-parts exact. Those two
@@ -18,7 +18,6 @@ every stored CSV, bitwise stable.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -39,8 +38,6 @@ __all__ = [
     "laplacian_matrix",
     "save_field",
     "load_field",
-    "write_field",
-    "read_field",
 ]
 
 FLOAT_FMT = "%.17g"
@@ -51,7 +48,7 @@ class Grid:
     """Uniform node-centered grid on a box.
 
     Attributes:
-        dim: space dimension, 1 or 2
+        dim: space dimension, 1, 2 or 3
         extents: physical side length per axis
         nodes: node count per axis (>= 3 so an interior stencil exists)
     """
@@ -61,8 +58,8 @@ class Grid:
     nodes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise UnsupportedDimensionError(f"dim must be 1 or 2, got {self.dim}")
+        if self.dim not in (1, 2, 3):
+            raise UnsupportedDimensionError(f"dim must be 1, 2 or 3, got {self.dim}")
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
         if len(self.extents) != self.dim or len(self.nodes) != self.dim:
@@ -126,9 +123,6 @@ class Field:
 
     def shaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.nodes)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
     def __repr__(self):
         return f"Field(grid={self.grid.nodes}, |values|_inf={np.abs(self.values).max():.3g})"
@@ -268,45 +262,35 @@ def p_laplacian_jacobian_1d(f: Field, p: float) -> sp.csr_matrix:
 
 # -- snapshot I/O -------------------------------------------------------------
 
-def write_field(f: Field, stream: io.TextIOBase) -> None:
+def save_field(f: Field, path) -> None:
     grid = f.grid
     nodes = ",".join(str(n) for n in grid.nodes)
     extent = ",".join(FLOAT_FMT % e for e in grid.extents)
-    stream.write(f"# grid: dim={grid.dim} nodes={nodes} extent={extent}\n")
-    for v in f.values:
-        stream.write(FLOAT_FMT % v)
-        stream.write("\n")
-
-
-def read_field(stream: io.TextIOBase) -> Field:
-    """Parse a snapshot; raises SnapshotFormatError on malformed content."""
-    source = getattr(stream, "name", "snapshot")
-    header = stream.readline().strip()
-    prefix = "# grid:"
-    if not header.startswith(prefix):
-        raise SnapshotFormatError(f"{source}: malformed snapshot header: {header!r}")
-    try:
-        entries = dict(item.split("=", 1) for item in header[len(prefix):].split())
-        dim = int(entries["dim"])
-        nodes = tuple(int(n) for n in entries["nodes"].split(","))
-        extents = tuple(float(e) for e in entries["extent"].split(","))
-        grid = Grid(dim=dim, extents=extents, nodes=nodes)
-        values = np.array([float(line) for line in stream if line.strip()])
-        return Field(grid, values)
-    except (KeyError, ValueError) as err:
-        raise SnapshotFormatError(f"{source}: malformed snapshot: {err!r}") from err
-
-
-def save_field(f: Field, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        write_field(f, fh)
+        fh.write(f"# grid: dim={grid.dim} nodes={nodes} extent={extent}\n")
+        for v in f.values:
+            fh.write(FLOAT_FMT % v)
+            fh.write("\n")
 
 
 def load_field(path) -> Field:
     """Read a snapshot file; raises SnapshotFormatError when it cannot be read."""
+    prefix = "# grid:"
     try:
         with open(path) as fh:
-            return read_field(fh)
+            header = fh.readline().strip()
+            if not header.startswith(prefix):
+                raise SnapshotFormatError(f"{path}: malformed snapshot header: {header!r}")
+            try:
+                entries = dict(item.split("=", 1) for item in header[len(prefix):].split())
+                dim = int(entries["dim"])
+                nodes = tuple(int(n) for n in entries["nodes"].split(","))
+                extents = tuple(float(e) for e in entries["extent"].split(","))
+                grid = Grid(dim=dim, extents=extents, nodes=nodes)
+                values = np.array([float(line) for line in fh if line.strip()])
+                return Field(grid, values)
+            except (KeyError, ValueError) as err:
+                raise SnapshotFormatError(f"{path}: malformed snapshot: {err!r}") from err
     except OSError as err:
         raise SnapshotFormatError(f"{path}: cannot read snapshot: {err.strerror}") from err
     except UnicodeDecodeError as err:

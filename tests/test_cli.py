@@ -2,9 +2,12 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from crystalflow.cli import OUTPUT_ROOT_ENV, main
+from crystalflow.experiment import _applicable_reports, _reload_run
+from crystalflow.grid import Field, load_field, save_field
 
 CONFIG = """
 [grid]
@@ -113,6 +116,7 @@ VERIFY_CASES = {
     "subset": {"snapshot_stride = 1": "snapshot_stride = 1\nreports = prop33,prop31"},
     "p3": {"[output]": "[variant]\nkind = p_exponent\np = 3\n\n[output]"},
     "exp": {"[output]": "[variant]\nkind = exp\n\n[output]"},
+    "3d": {"dim = 1\nnodes = 65": "dim = 3\nnodes = 9,9,9"},
 }
 
 
@@ -131,8 +135,45 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("name,lhs,rhs,margin,pass")
         assert out == (tmp_path / "demo" / "reports.csv").read_text()
-        if case == "default":
+        if case in ("default", "3d"):
             assert out.count("true") == 3
+
+    def test_verify_rejects_step_off_the_scheme(self, tmp_path, capsys):
+        # 1e-6 cos(3 pi x) added to u_20 of a 50-step run leaves every report
+        # passing but puts step 20's residual at 1e-3, far above picard_tol
+        text = CONFIG.replace("amplitude = 0.1", "amplitude = 0.5").replace(
+            "tau = 0.01", "tau = 0.001"
+        )
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
+        run_dir = tmp_path / "demo"
+        snapshot = run_dir / "fields" / "u_000020.csv"
+        u20 = load_field(snapshot)
+        x = u20.grid.axis_coords(0)
+        save_field(Field(u20.grid, u20.values + 1e-6 * np.cos(3 * np.pi * x)), snapshot)
+        cfg, traj = _reload_run(run_dir)
+        assert all(rep.passed for rep in _applicable_reports(cfg, traj))
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: step 20: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "name, scale, step",
+        [("w_000000.csv", 1 + 1e-15, 0), ("w_000002.csv", 1e6, 2)],
+        ids=["w0-off-u0", "w-over-cap"],
+    )
+    def test_verify_names_tampered_step(self, name, scale, step, config_path, tmp_path, capsys):
+        main(["--output-root", str(tmp_path), "run", config_path])
+        snapshot = tmp_path / "demo" / "fields" / name
+        w = load_field(snapshot)
+        save_field(Field(w.grid, w.values * scale), snapshot)
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: step {step}: ")
 
     @pytest.mark.parametrize("missing", ["fields/w_000001.csv", "config.txt"])
     def test_verify_names_missing_file(self, missing, config_path, tmp_path, capsys):

@@ -180,6 +180,32 @@ class TestRunExperiment:
         data_b = (b.directory / "trajectory.csv").read_bytes()
         assert data_a == data_b
 
+    @pytest.mark.parametrize(
+        "variant, c",
+        [("kind = exp", -1000), ("kind = scaled_sinh\nK = 0.5", 1000)],
+        ids=["exp", "scaled_sinh-K0.5"],
+    )
+    def test_energy_column_is_the_variants_own(self, variant, c, tmp_path):
+        # |w_0| = 1000 passes each variant's cap (exp is capped from above,
+        # scaled_sinh on K|w|) but overflows cosh; the column must hold the
+        # finite int F(w) of the run's own variant
+        cfg = make_cfg(**{
+            "nodes = 65": "nodes = 17",
+            "profile = cosine\namplitude = 0.1": f"profile = constant\nc = {c}",
+            "tau = 0.01\nhorizon = 0.1": "tau = 10000\nhorizon = 30000\nreg_eps = 1",
+            "[output]": f"[variant]\n{variant}\n\n[output]",
+        })
+        result = run_experiment(cfg, tmp_path)
+        assert result.ok
+        traj = result.trajectory
+        qw = traj.grid.quad_weights()
+        rows = trajectory_rows(result.directory)
+        assert float(rows[0]["w_sup"]) == 1000.0
+        for row, rec in zip(rows, traj.records):
+            energy = float(row["cosh_energy"])
+            assert np.isfinite(energy)
+            assert energy == float(qw @ traj.variant.antiderivative(rec.w.values))
+
     def test_exp_variant_runs_without_reports(self, tmp_path):
         cfg = make_cfg(**{"[output]": "[variant]\nkind = exp\n\n[output]"})
         result = run_experiment(cfg, tmp_path)
@@ -236,6 +262,28 @@ class TestCompare:
         assert results["sinh"].ok and results["exp"].ok
         rows = (tmp_path / "variant_comparison.csv").read_text().splitlines()
         assert len(rows) == 12
+
+    def test_comparison_bytes_pinned(self, tmp_path):
+        # 2-D 9 x 9, three steps; the sinh columns are cosh energies, the exp
+        # and linear ones integrate e^w and w^2/2
+        cfg = make_cfg(**{
+            "dim = 1\nnodes = 65": "dim = 2\nnodes = 9,9",
+            "amplitude = 0.1": "amplitude = 0.5",
+            "tau = 0.01\nhorizon = 0.1": "tau = 0.001\nhorizon = 0.003",
+        })
+        results = compare_variants(cfg, ("sinh", "exp", "linear"), output_root=tmp_path)
+        assert all(r.ok for r in results.values())
+        assert (tmp_path / "variant_comparison.csv").read_text() == (
+            "t,w_sup_sinh,energy_sinh,w_sup_exp,energy_exp,w_sup_linear,energy_linear\n"
+            "0,9.7439198385552981,590.51583305720874,9.7439198385552981,590.5158330572084,"
+            "9.7439198385552981,11.867996727523931\n"
+            "0.001,3.3489405073772254,5.8276554770230939,16.77823901267594,5.2989182229896805,"
+            "7.0619583019838981,6.2339068823698991\n"
+            "0.002,2.1895854840250109,2.2148500213250841,22.058827822534305,3.1881644433127008,"
+            "5.118192255813292,3.2744864959333881\n"
+            "0.0030000000000000001,1.5690259048871655,1.4707331454193031,38.539611055958588,"
+            "2.4769440454970435,3.7094373610373816,1.7199906919324912\n"
+        )
 
     def test_scaled_sinh_converges_to_linear(self):
         cfg = make_cfg(

@@ -1,7 +1,5 @@
 """Grid, field and spatial-operator invariants."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -21,9 +19,7 @@ from crystalflow.grid import (
     load_field,
     p_laplacian_1d,
     p_laplacian_jacobian_1d,
-    read_field,
     save_field,
-    write_field,
 )
 
 
@@ -37,10 +33,15 @@ def grid2d():
     return Grid(2, (1.0, 2.0), (17, 25))
 
 
+@pytest.fixture
+def grid3d():
+    return Grid(3, (1.0, 0.5, 2.0), (5, 7, 6))
+
+
 class TestGridValidation:
-    def test_rejects_dim_3(self):
+    def test_rejects_dim_4(self):
         with pytest.raises(UnsupportedDimensionError):
-            Grid(3, (1.0, 1.0, 1.0), (5, 5, 5))
+            Grid(4, (1.0,) * 4, (5,) * 4)
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError, match="3 nodes"):
@@ -78,8 +79,8 @@ class TestField:
 
 
 class TestQuadrature:
-    def test_weights_sum_to_measure(self, grid1d, grid2d):
-        for g in (grid1d, grid2d):
+    def test_weights_sum_to_measure(self, grid1d, grid2d, grid3d):
+        for g in (grid1d, grid2d, grid3d):
             assert g.quad_weights().sum() == pytest.approx(g.measure, rel=1e-14)
 
     def test_exact_on_affine(self, grid2d):
@@ -93,8 +94,8 @@ class TestQuadrature:
 
 
 class TestLaplacian:
-    def test_annihilates_constants(self, grid1d, grid2d):
-        for g in (grid1d, grid2d):
+    def test_annihilates_constants(self, grid1d, grid2d, grid3d):
+        for g in (grid1d, grid2d, grid3d):
             lap = laplacian_neumann(Field.constant(g, 3.7))
             assert np.abs(lap.values).max() < 1e-12
 
@@ -104,13 +105,14 @@ class TestLaplacian:
         f = Field(grid2d, rng.standard_normal(grid2d.num_nodes))
         assert integrate(laplacian_neumann(f)) == pytest.approx(0.0, abs=1e-10)
 
-    def test_symmetric_under_quadrature(self, grid2d):
+    def test_symmetric_under_quadrature(self, grid2d, grid3d):
         rng = np.random.default_rng(1)
-        f = Field(grid2d, rng.standard_normal(grid2d.num_nodes))
-        g = Field(grid2d, rng.standard_normal(grid2d.num_nodes))
-        assert inner(f, laplacian_neumann(g)) == pytest.approx(
-            inner(laplacian_neumann(f), g), rel=1e-12, abs=1e-10
-        )
+        for grid in (grid2d, grid3d):
+            f = Field(grid, rng.standard_normal(grid.num_nodes))
+            g = Field(grid, rng.standard_normal(grid.num_nodes))
+            assert inner(f, laplacian_neumann(g)) == pytest.approx(
+                inner(laplacian_neumann(f), g), rel=1e-12, abs=1e-10
+            )
 
     def test_second_order_on_cosine(self):
         errs = []
@@ -122,11 +124,11 @@ class TestLaplacian:
         order = np.log2(errs[0] / errs[1])
         assert order > 1.9
 
-    def test_grad_sq_matches_summation_by_parts(self, grid1d, grid2d):
+    def test_grad_sq_matches_summation_by_parts(self, grid1d, grid2d, grid3d):
         """int |grad f|^2 = -<f, Lap f> exactly, the identity the energy
         telescoping depends on."""
         rng = np.random.default_rng(2)
-        for g in (grid1d, grid2d):
+        for g in (grid1d, grid2d, grid3d):
             f = Field(g, rng.standard_normal(g.num_nodes))
             byparts = -inner(f, laplacian_neumann(f))
             assert grad_sq_integral(f) == pytest.approx(byparts, rel=1e-12)
@@ -187,24 +189,27 @@ class TestPLaplacian:
 
 
 class TestSnapshotIO:
-    def test_round_trip_exact(self, grid2d, tmp_path):
+    def test_round_trip_exact(self, grid2d, grid3d, tmp_path):
         rng = np.random.default_rng(6)
-        f = Field(grid2d, rng.standard_normal(grid2d.num_nodes))
-        path = tmp_path / "field.csv"
-        save_field(f, path)
-        loaded = load_field(path)
-        assert loaded.grid == grid2d
-        assert np.array_equal(loaded.values, f.values)
+        for grid in (grid2d, grid3d):
+            f = Field(grid, rng.standard_normal(grid.num_nodes))
+            path = tmp_path / "field.csv"
+            save_field(f, path)
+            loaded = load_field(path)
+            assert loaded.grid == grid
+            assert np.array_equal(loaded.values, f.values)
 
-    def test_header_format(self, grid2d):
-        buf = io.StringIO()
-        write_field(Field.constant(grid2d, 0.0), buf)
-        header = buf.getvalue().splitlines()[0]
+    def test_header_format(self, grid2d, tmp_path):
+        path = tmp_path / "field.csv"
+        save_field(Field.constant(grid2d, 0.0), path)
+        header = path.read_text().splitlines()[0]
         assert header == "# grid: dim=2 nodes=17,25 extent=1,2"
 
-    def test_rejects_malformed_header(self):
+    def test_rejects_malformed_header(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("not a header\n0\n")
         with pytest.raises(ValueError, match="header"):
-            read_field(io.StringIO("not a header\n0\n"))
+            load_field(path)
 
     @pytest.mark.parametrize(
         "text",
@@ -215,9 +220,11 @@ class TestSnapshotIO:
         ],
         ids=["no_dim", "non_numeric", "short"],
     )
-    def test_rejects_malformed_content(self, text):
+    def test_rejects_malformed_content(self, text, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text(text)
         with pytest.raises(SnapshotFormatError):
-            read_field(io.StringIO(text))
+            load_field(path)
 
     @pytest.mark.parametrize("content", [None, b"\xc0\xff\x00"], ids=["missing", "not_text"])
     def test_load_names_unreadable_file(self, content, tmp_path):
