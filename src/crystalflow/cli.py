@@ -6,12 +6,13 @@ Subcommands:
     sweep <config> --param tau --values  parameter sweep with convergence summary
     compare <config> --variants a,b      side-by-side nonlinearity comparison
 
-`verify` first re-checks every stored step against the scheme, then
-recomputes exactly the reports that `run` chose for the run directory and
-prints them in the reports.csv format, so on a clean run with
-snapshot_stride = 1 its output equals that file byte for byte. It exits 1
-when a step misses the scheme (naming the step), a report fails or the
-directory cannot be read.
+`verify` reads every snapshot on the grid of the run's config.txt, first
+re-checks every stored step against the scheme, then recomputes exactly the
+reports that `run` chose for the run directory and prints them in the
+reports.csv format, so on a clean run with snapshot_stride = 1 its output
+equals that file byte for byte. It exits 1 when a step misses the scheme
+(naming the step), a report fails, or a file of the directory cannot be
+read or is a snapshot of another grid (naming the file).
 
 An argument no run can start from (an unreadable config path, an unknown
 sweep parameter or variant, a sweep value that is not a finite number or

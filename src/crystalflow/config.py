@@ -30,15 +30,8 @@ __all__ = [
     "build_initial_field",
 ]
 
-# the [initial] keys of each profile with their value types; all are
-# required but _OPTIONAL_KEYS, which InitialSpec defaults
-PROFILE_KEYS = {
-    "constant": {"c": "real"},
-    "cosine": {"amplitude": "real", "mode": "integer"},
-    "gaussian_bump": {"amplitude": "real", "width": "real"},
-    "random_smooth": {"amplitude": "real", "seed": "integer"},
-    "snapshot": {"path": "string"},
-}
+# the [initial] keys PROFILES declares are all required but these, which
+# InitialSpec defaults
 _OPTIONAL_KEYS = ("mode", "width")
 
 # the format's own defaults; SchemeParams leaves tau and horizon to the caller
@@ -59,6 +52,8 @@ class InitialSpec:
     path: str | None = None
 
     def __post_init__(self):
+        if self.profile not in PROFILES:
+            raise ValueError(f"unknown profile {self.profile!r}; choose from {', '.join(PROFILES)}")
         if self.mode < 1:
             raise ValueError("cosine mode must be >= 1")
         if self.width <= 0:
@@ -241,12 +236,9 @@ def _parse_initial(raw, violations):
     r = _SectionReader("initial", raw, violations)
     profile = r.read("profile", "string", required=True)
     spec = None
-    if profile is not None and profile not in PROFILE_KEYS:
-        violations.append(
-            f"[initial] unknown profile {profile!r}; choose from {', '.join(PROFILE_KEYS)}"
-        )
-    elif profile is not None:
-        keys = PROFILE_KEYS[profile]
+    if profile is not None:
+        # an unknown profile reads no keys; InitialSpec names it
+        keys = PROFILES[profile][0] if profile in PROFILES else {}
         values = r.read_given(keys, required=[key for key in keys if key not in _OPTIONAL_KEYS])
         # built even when a key is missing, so a bad value is reported too
         spec = r.build(InitialSpec, {"profile": profile, **values})
@@ -307,7 +299,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     lines = ["[grid]", f"dim = {grid.dim}", f"nodes = {_text(grid.nodes)}",
              f"extent = {_text(grid.extents)}"]
     lines += ["[initial]", f"profile = {initial.profile}"]
-    lines += _lines(initial, PROFILE_KEYS[initial.profile])
+    lines += _lines(initial, PROFILES[initial.profile][0])
     lines += ["[scheme]"] + _lines(cfg.scheme, _SCHEME_KEYS)
     lines += ["[variant]", f"kind = {variant.name}"]
     key = VARIANT_PARAMS[variant.name]
@@ -319,48 +311,21 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 # -- initial-condition synthesis ----------------------------------------------
 
-def build_initial_field(cfg: ExperimentConfig) -> Field:
-    """Materialize the configured initial condition on the configured grid."""
-    grid, ic = cfg.grid, cfg.initial
-    if ic.profile == "constant":
-        return Field.constant(grid, ic.c)
-    if ic.profile == "cosine":
-        return Field.from_function(grid, _cosine_profile(grid, ic.amplitude, ic.mode))
-    if ic.profile == "gaussian_bump":
-        return Field.from_function(grid, _bump_profile(grid, ic.amplitude, ic.width))
-    if ic.profile == "random_smooth":
-        return _random_smooth(grid, ic.amplitude, ic.seed)
-    if ic.profile == "snapshot":
-        loaded = load_field(ic.path)
-        if loaded.grid != grid:
-            raise ConfigError(
-                [f"snapshot grid {loaded.grid.nodes} does not match configured {grid.nodes}"]
-            )
-        return loaded
-    raise ConfigError([f"unknown profile {ic.profile!r}"])
+def _cosine_profile(grid: Grid, ic: InitialSpec) -> Field:
+    out = ic.amplitude
+    for x, length in zip(grid.coords(), grid.extents):
+        out = out * np.cos(ic.mode * np.pi * x / length)
+    return Field(grid, out)
 
 
-def _cosine_profile(grid, amplitude, mode):
-    def fn(*coords):
-        out = np.full_like(coords[0], amplitude)
-        for axis, x in enumerate(coords):
-            out = out * np.cos(mode * np.pi * x / grid.extents[axis])
-        return out
-
-    return fn
-
-
-def _bump_profile(grid, amplitude, width):
+def _bump_profile(grid: Grid, ic: InitialSpec) -> Field:
     # built on cos(pi x / L) so the normal derivative vanishes exactly on
     # the boundary while the bump peaks at the box center
-    def fn(*coords):
-        out = np.full_like(coords[0], amplitude)
-        for axis, x in enumerate(coords):
-            s = np.cos(np.pi * x / grid.extents[axis])
-            out = out * np.exp(-(s * s) / (2.0 * width * width))
-        return out
-
-    return fn
+    out = ic.amplitude
+    for x, length in zip(grid.coords(), grid.extents):
+        s = np.cos(np.pi * x / length)
+        out = out * np.exp(-(s * s) / (2.0 * ic.width * ic.width))
+    return Field(grid, out)
 
 
 def _random_smooth(grid: Grid, amplitude: float, seed: int) -> Field:
@@ -389,3 +354,20 @@ def _random_smooth(grid: Grid, amplitude: float, seed: int) -> Field:
     if top > 0:
         values = values * (amplitude / top)
     return Field(grid, values.reshape(-1))
+
+
+# each profile's [initial] keys with their value types, and its builder
+# (grid, spec) -> Field; the one list of profiles
+PROFILES = {
+    "constant": ({"c": "real"}, lambda grid, ic: Field.constant(grid, ic.c)),
+    "cosine": ({"amplitude": "real", "mode": "integer"}, _cosine_profile),
+    "gaussian_bump": ({"amplitude": "real", "width": "real"}, _bump_profile),
+    "random_smooth": ({"amplitude": "real", "seed": "integer"},
+                      lambda grid, ic: _random_smooth(grid, ic.amplitude, ic.seed)),
+    "snapshot": ({"path": "string"}, lambda grid, ic: load_field(ic.path, grid)),
+}
+
+
+def build_initial_field(cfg: ExperimentConfig) -> Field:
+    """Materialize the configured initial condition on the configured grid."""
+    return PROFILES[cfg.initial.profile][1](cfg.grid, cfg.initial)

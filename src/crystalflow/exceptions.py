@@ -2,7 +2,10 @@
 
 
 class CrystalflowError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; step_index is the trajectory step a
+    failure belongs to, set by stepper._at_step."""
+
+    step_index = None
 
 
 class UnsupportedDimensionError(CrystalflowError):
@@ -14,15 +17,7 @@ class InvalidExponentError(CrystalflowError):
 
 
 class SolverFailure(CrystalflowError):
-    """SuperLU could not factor a step's sparse system (elliptic.lu_factor).
-
-    Attributes:
-        step_index: trajectory step index, set by the time loop
-    """
-
-    def __init__(self, message, step_index=None):
-        super().__init__(message)
-        self.step_index = step_index
+    """SuperLU could not factor a step's sparse system (elliptic.lu_factor)."""
 
 
 class StepFailure(CrystalflowError):
@@ -31,14 +26,12 @@ class StepFailure(CrystalflowError):
     Attributes:
         residual: last residual sup-norm
         residual_history: residual per iteration, when available
-        step_index: trajectory step index, set by the time loop
     """
 
-    def __init__(self, message, residual=None, residual_history=None, step_index=None):
+    def __init__(self, message, residual=None, residual_history=None):
         super().__init__(message)
         self.residual = residual
         self.residual_history = residual_history or []
-        self.step_index = step_index
 
 
 class OverflowCapError(CrystalflowError):
@@ -50,14 +43,12 @@ class OverflowCapError(CrystalflowError):
     Attributes:
         max_abs: largest offending |argument|
         cap: the configured cap
-        step_index: trajectory step index, when raised inside the time loop
     """
 
-    def __init__(self, message, max_abs=None, cap=None, step_index=None):
+    def __init__(self, message, max_abs=None, cap=None):
         super().__init__(message)
         self.max_abs = max_abs
         self.cap = cap
-        self.step_index = step_index
 
 
 class SnapshotFormatError(CrystalflowError, ValueError):

@@ -29,9 +29,9 @@ from .estimates import (
     write_reports_csv,
     write_terms_csv,
 )
-from .exceptions import ArgumentError, CrystalflowError, OverflowCapError, StepFailure
+from .exceptions import ArgumentError, CrystalflowError, StepFailure
 from .grid import FLOAT_FMT, load_field, save_field
-from .stepper import StepRecord, Trajectory, _step_residual, init_w0, run
+from .stepper import StepRecord, Trajectory, _at_step, _step_residual, init_w0, run
 
 __all__ = [
     "ExperimentResult",
@@ -92,7 +92,11 @@ def _write_snapshots(traj: Trajectory, fields_dir: Path, stride: int) -> None:
 
 
 def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
-    """Rebuild a run's config and Trajectory from its config.txt and snapshots."""
+    """Rebuild a run's config and Trajectory from its config.txt and snapshots.
+
+    config.txt alone gives the grid: every snapshot is read on it, and one
+    whose header states another grid raises SnapshotFormatError.
+    """
     config_path = directory / "config.txt"
     try:
         config_bytes = config_path.read_bytes()
@@ -113,7 +117,7 @@ def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
             )
         w_path = fields_dir / f"w_{k:06d}.csv"
         records.append(
-            StepRecord(k, load_field(u_path), load_field(w_path), 0, 0.0)
+            StepRecord(k, load_field(u_path, cfg.grid), load_field(w_path, cfg.grid), 0, 0.0)
         )
     return cfg, Trajectory(cfg.scheme, cfg.grid, cfg.variant, records)
 
@@ -129,22 +133,21 @@ def _applicable_reports(cfg: ExperimentConfig, traj: Trajectory) -> list[Estimat
 
 
 def _check_scheme(traj: Trajectory) -> None:
-    """Raise StepFailure naming the first stored step that misses the scheme:
-    w_0 must be init_w0(u_0) bit for bit, and every step k must meet
-    picard_tol by newton_step's residual, recomputed from u_{k-1}, u_k, w_k."""
+    """Raise, labelled by stepper._at_step as run labels it, the first stored step
+    off the scheme: w_0 must be init_w0(u_0) bit for bit, and every step k must
+    meet picard_tol by newton_step's residual, recomputed from u_{k-1}, u_k, w_k."""
     params, variant = traj.params, traj.variant
     u0, w0 = traj.records[0].u, traj.records[0].w
-    if not np.array_equal(w0.values, init_w0(u0, params, variant).values):
-        raise StepFailure("step 0: stored w_0 is not the exponent field of u_0", step_index=0)
+    with _at_step(0):
+        if not np.array_equal(w0.values, init_w0(u0, params, variant).values):
+            raise StepFailure("stored w_0 is not the exponent field of u_0")
     for prev, rec in zip(traj.records, traj.records[1:]):
-        try:
+        with _at_step(rec.k):
             res = _step_residual(traj.grid, params.tau, params.reg_weight, prev.u.values,
                                  rec.u.values, rec.w.values, variant, params.sinh_arg_cap)
-        except OverflowCapError as err:
-            raise StepFailure(f"step {rec.k}: {err}", step_index=rec.k) from err
-        if res > params.picard_tol:
-            raise StepFailure(f"step {rec.k}: stored fields leave residual {res:.3e} above "
-                              f"picard_tol = {params.picard_tol:.3e}", res, step_index=rec.k)
+            if res > params.picard_tol:
+                raise StepFailure(f"stored fields leave residual {res:.3e} above "
+                                  f"picard_tol = {params.picard_tol:.3e}", res)
 
 
 def verify_run(directory) -> list[EstimateReport]:

@@ -14,6 +14,11 @@ in several dimensions are built (Strand, J. Comput. Phys. 110, 1994). It
 emits each edge's four entries in a fixed order, and the CSR conversion sums
 duplicates in that order; keeping the order keeps every matrix, and so
 every stored CSV, bitwise stable.
+
+A snapshot file is one header line naming its grid (_header) and then one
+value per node. load_field reads a snapshot only on the grid its caller
+hands it, and refuses a file whose header is not that grid's, so a run's
+grid comes from its config alone.
 """
 
 from __future__ import annotations
@@ -221,14 +226,6 @@ def grad_sq_integral(f: Field) -> float:
     return float(total)
 
 
-def p_flux(s: np.ndarray, p: float) -> np.ndarray:
-    """Nonlinear flux |s|^(p-2) s, continuously extended by 0 at s = 0."""
-    out = np.zeros_like(s)
-    nz = s != 0.0
-    out[nz] = np.abs(s[nz]) ** (p - 2.0) * s[nz]
-    return out
-
-
 def p_laplacian_1d(f: Field, p: float) -> Field:
     """1-D p-Laplacian (|f'|^{p-2} f')' in flux form with zero-flux boundaries.
 
@@ -241,7 +238,8 @@ def p_laplacian_1d(f: Field, p: float) -> Field:
         raise InvalidExponentError(f"exponent must satisfy p >= 2, got {p}")
     h = f.grid.spacing[0]
     slope = np.diff(f.values) / h
-    flux = p_flux(slope, p)
+    # the flux |s|^(p-2) s; at s = 0 it is 0 for every p, since 0.0 ** 0.0 == 1.0
+    flux = np.abs(slope) ** (p - 2.0) * slope
     out = np.empty_like(f.values)
     out[1:-1] = np.diff(flux) / h
     # boundary control volumes have width h/2 and zero outward flux
@@ -256,40 +254,42 @@ def p_laplacian_jacobian_1d(f: Field, p: float) -> sp.csr_matrix:
         raise UnsupportedDimensionError("p_laplacian_jacobian_1d requires a 1-D grid")
     h = f.grid.spacing[0]
     slope = np.diff(f.values) / h
-    c = (p - 1.0) * np.abs(slope) ** (p - 2.0) if p > 2 else np.ones_like(slope)
+    c = (p - 1.0) * np.abs(slope) ** (p - 2.0)
     return divergence_matrix(f.grid, [c])
 
 
 # -- snapshot I/O -------------------------------------------------------------
 
-def save_field(f: Field, path) -> None:
-    grid = f.grid
+def _header(grid: Grid) -> str:
+    """The first line of every snapshot of a field on grid."""
     nodes = ",".join(str(n) for n in grid.nodes)
     extent = ",".join(FLOAT_FMT % e for e in grid.extents)
+    return f"# grid: dim={grid.dim} nodes={nodes} extent={extent}\n"
+
+
+def save_field(f: Field, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# grid: dim={grid.dim} nodes={nodes} extent={extent}\n")
+        fh.write(_header(f.grid))
         for v in f.values:
             fh.write(FLOAT_FMT % v)
             fh.write("\n")
 
 
-def load_field(path) -> Field:
-    """Read a snapshot file; raises SnapshotFormatError when it cannot be read."""
-    prefix = "# grid:"
+def load_field(path, grid: Grid) -> Field:
+    """Read a snapshot of a field on grid. Raises SnapshotFormatError when the
+    file cannot be read, its header is not the one save_field writes for
+    grid, or its values are not grid.num_nodes finite numbers."""
     try:
         with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith(prefix):
-                raise SnapshotFormatError(f"{path}: malformed snapshot header: {header!r}")
+            header = fh.readline()
+            if header != _header(grid):
+                raise SnapshotFormatError(
+                    f"{path}: snapshot header {header.strip()!r} does not match "
+                    f"the run's grid {_header(grid).strip()!r}"
+                )
             try:
-                entries = dict(item.split("=", 1) for item in header[len(prefix):].split())
-                dim = int(entries["dim"])
-                nodes = tuple(int(n) for n in entries["nodes"].split(","))
-                extents = tuple(float(e) for e in entries["extent"].split(","))
-                grid = Grid(dim=dim, extents=extents, nodes=nodes)
-                values = np.array([float(line) for line in fh if line.strip()])
-                return Field(grid, values)
-            except (KeyError, ValueError) as err:
+                return Field(grid, [float(line) for line in fh if line.strip()])
+            except ValueError as err:
                 raise SnapshotFormatError(f"{path}: malformed snapshot: {err!r}") from err
     except OSError as err:
         raise SnapshotFormatError(f"{path}: cannot read snapshot: {err.strerror}") from err

@@ -79,7 +79,7 @@ class Variant:
 
     # -- evaluation ----------------------------------------------------------
 
-    def check_cap(self, w: np.ndarray, cap: float, step_index=None) -> None:
+    def check_cap(self, w: np.ndarray, cap: float) -> None:
         # e^w cannot overflow for negative w, so exp is capped from above only
         top = w.max() if self.name == "exp" else np.abs(w).max()
         scaled = top * abs(self.arg_scale)
@@ -89,7 +89,6 @@ class Variant:
                 "reduce the timestep or the initial data",
                 max_abs=float(scaled),
                 cap=cap,
-                step_index=step_index,
             )
 
     # the hyperbolic branches divide by K = 1 for sinh and the p-variant,

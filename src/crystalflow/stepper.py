@@ -45,6 +45,7 @@ tracing it (ROADMAP item 2).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -602,15 +603,26 @@ def newton_step(
     return Field(grid, u), Field(grid, w), diag
 
 
+@contextmanager
+def _at_step(k: int):
+    """Label a step failure raised inside as step k's: step_index and a "step k: " prefix."""
+    try:
+        yield
+    except (StepFailure, OverflowCapError, SolverFailure) as err:
+        err.step_index = k
+        err.args = (f"step {k}: {err.args[0]}",) + err.args[1:]
+        raise
+
+
 def run(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Trajectory:
     """Integrate the recursion from u0 over the whole horizon.
 
     The k = 0 record holds the supplied initial field (bit-exact) and the
     exponent field derived from it. Step k is newton_step started from the
     pair of step k - 1, and its record is accepted only when both stencil
-    equations hold to the step tolerance. A failed step raises StepFailure,
-    OverflowCapError or SolverFailure with step_index = k and its message
-    prefixed "step k: ".
+    equations hold to the step tolerance. A failed step k, or a w_0 over the
+    cap (step 0), raises StepFailure, OverflowCapError or SolverFailure
+    labelled by _at_step(k).
     """
     variant = variant or sinh_variant()
     grid = u0.grid
@@ -618,17 +630,14 @@ def run(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Traj
         raise UnsupportedDimensionError("the p-exponent variant requires a 1-D grid")
 
     w0 = init_w0(u0, params, variant)
-    variant.check_cap(w0.values, params.sinh_arg_cap, step_index=0)
+    with _at_step(0):
+        variant.check_cap(w0.values, params.sinh_arg_cap)
 
     records = [StepRecord(0, u0, w0, 0, 0.0)]
     u, w = u0, w0
     for k in range(1, params.num_steps + 1):
-        try:
+        with _at_step(k):
             u, w, diag = newton_step(u, params, (u, w), variant)
-        except (StepFailure, OverflowCapError, SolverFailure) as err:
-            err.step_index = k
-            err.args = (f"step {k}: {err.args[0]}",) + err.args[1:]
-            raise
         records.append(
             StepRecord(k, u, w, len(diag.residual_history) - 1, diag.residual_inf)
         )

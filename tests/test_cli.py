@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from crystalflow.cli import OUTPUT_ROOT_ENV, main
-from crystalflow.experiment import _applicable_reports, _reload_run
-from crystalflow.grid import Field, load_field, save_field
+from crystalflow.exceptions import OverflowCapError
+from crystalflow.experiment import _applicable_reports, _reload_run, verify_run
+from crystalflow.grid import Field, Grid, load_field, save_field
 
 CONFIG = """
 [grid]
@@ -149,7 +150,7 @@ class TestVerifyCommand:
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
         run_dir = tmp_path / "demo"
         snapshot = run_dir / "fields" / "u_000020.csv"
-        u20 = load_field(snapshot)
+        u20 = load_field(snapshot, Grid(1, (1.0,), (65,)))
         x = u20.grid.axis_coords(0)
         save_field(Field(u20.grid, u20.values + 1e-6 * np.cos(3 * np.pi * x)), snapshot)
         cfg, traj = _reload_run(run_dir)
@@ -169,11 +170,43 @@ class TestVerifyCommand:
     def test_verify_names_tampered_step(self, name, scale, step, config_path, tmp_path, capsys):
         main(["--output-root", str(tmp_path), "run", config_path])
         snapshot = tmp_path / "demo" / "fields" / name
-        w = load_field(snapshot)
+        w = load_field(snapshot, Grid(1, (1.0,), (65,)))
         save_field(Field(w.grid, w.values * scale), snapshot)
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 1
         assert capsys.readouterr().err.startswith(f"error: step {step}: ")
+
+    def test_verify_labels_cap_failure_as_run_does(self, config_path, tmp_path):
+        # a stored w over the cap stays an OverflowCapError, step-indexed
+        main(["--output-root", str(tmp_path), "run", config_path])
+        snapshot = tmp_path / "demo" / "fields" / "w_000002.csv"
+        w = load_field(snapshot, Grid(1, (1.0,), (65,)))
+        save_field(Field(w.grid, w.values * 1e6), snapshot)
+        with pytest.raises(OverflowCapError) as exc:
+            verify_run(tmp_path / "demo")
+        assert exc.value.step_index == 2
+        assert str(exc.value).startswith("step 2: |argument| = ")
+
+    def test_verify_reads_snapshots_on_the_run_grid(self, tmp_path, capsys):
+        # headers of u_1 and w_1 edited to extent 1.05 x 1 on a 9 x 9 run: the
+        # values alone would still pass every check, read on the header's grid
+        text = CONFIG.replace("dim = 1\nnodes = 65", "dim = 2\nnodes = 9,9")
+        text = text.replace("amplitude = 0.1", "amplitude = 0.5")
+        text = text.replace("tau = 0.01\nhorizon = 0.05", "tau = 0.001\nhorizon = 0.005")
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
+        for name in ("u_000001.csv", "w_000001.csv"):
+            snapshot = tmp_path / "demo" / "fields" / name
+            header, values = snapshot.read_text().split("\n", 1)
+            assert header == "# grid: dim=2 nodes=9,9 extent=1,1"
+            snapshot.write_text("# grid: dim=2 nodes=9,9 extent=1.05,1\n" + values)
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "u_000001.csv" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("missing", ["fields/w_000001.csv", "config.txt"])
     def test_verify_names_missing_file(self, missing, config_path, tmp_path, capsys):

@@ -5,12 +5,13 @@ import pytest
 
 from crystalflow.config import (
     ExperimentConfig,
+    InitialSpec,
     _random_smooth,
     build_initial_field,
     config_to_text,
     parse_config,
 )
-from crystalflow.exceptions import ConfigError
+from crystalflow.exceptions import ConfigError, SnapshotFormatError
 from crystalflow.grid import Field, Grid, save_field
 
 MINIMAL = """
@@ -222,6 +223,18 @@ class TestRoundTrip:
 
 
 class TestProfiles:
+    def test_unknown_profile(self):
+        # a spec built through the API is checked as a parsed one is
+        with pytest.raises(ValueError, match="unknown profile 'nosuch'"):
+            InitialSpec("nosuch")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace("profile = cosine", "profile = nosuch"))
+        assert exc.value.violations == [
+            "[initial] unknown profile 'nosuch'; choose from constant, cosine, "
+            "gaussian_bump, random_smooth, snapshot",
+            "line 8: unknown key 'amplitude' in [initial]",
+        ]
+
     def test_constant(self):
         cfg = parse_config(
             MINIMAL.replace("profile = cosine\namplitude = 0.1", "profile = constant\nc = 2.5")
@@ -251,8 +264,22 @@ class TestProfiles:
                 "profile = cosine\namplitude = 0.1", f"profile = snapshot\npath = {path}"
             )
         )
-        with pytest.raises(ConfigError, match="does not match"):
+        with pytest.raises(SnapshotFormatError, match="does not match"):
             build_initial_field(cfg)
+
+    def test_snapshot_of_another_extent_same_nodes(self, tmp_path):
+        # 65 nodes on a box of extent 2: as many values as the configured
+        # grid takes, but the header names another grid
+        path = tmp_path / "u0.csv"
+        save_field(Field.constant(Grid(1, (2.0,), (65,)), 1.0), path)
+        cfg = parse_config(
+            MINIMAL.replace(
+                "profile = cosine\namplitude = 0.1", f"profile = snapshot\npath = {path}"
+            )
+        )
+        with pytest.raises(SnapshotFormatError, match="u0.csv") as exc:
+            build_initial_field(cfg)
+        assert "extent=2'" in str(exc.value) and "extent=1'" in str(exc.value)
 
     @pytest.mark.parametrize(
         "profile_block",

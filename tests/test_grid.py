@@ -195,7 +195,7 @@ class TestSnapshotIO:
             f = Field(grid, rng.standard_normal(grid.num_nodes))
             path = tmp_path / "field.csv"
             save_field(f, path)
-            loaded = load_field(path)
+            loaded = load_field(path, grid)
             assert loaded.grid == grid
             assert np.array_equal(loaded.values, f.values)
 
@@ -205,11 +205,25 @@ class TestSnapshotIO:
         header = path.read_text().splitlines()[0]
         assert header == "# grid: dim=2 nodes=17,25 extent=1,2"
 
-    def test_rejects_malformed_header(self, tmp_path):
+    def test_rejects_malformed_header(self, grid1d, tmp_path):
         path = tmp_path / "field.csv"
         path.write_text("not a header\n0\n")
         with pytest.raises(ValueError, match="header"):
-            load_field(path)
+            load_field(path, grid1d)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["# grid: dim=1 nodes=33 extent=2", "# grid: dim=1 nodes=33 extent=1.0"],
+        ids=["other_extent", "other_digits"],
+    )
+    def test_rejects_header_of_another_grid(self, header, grid1d, tmp_path):
+        # the file is read on the grid it is handed, never on its own header's
+        path = tmp_path / "u_000001.csv"
+        path.write_text(header + "\n0\n" * 33)
+        with pytest.raises(SnapshotFormatError, match="u_000001.csv") as exc:
+            load_field(path, grid1d)
+        assert header in str(exc.value)
+        assert "# grid: dim=1 nodes=33 extent=1'" in str(exc.value)
 
     @pytest.mark.parametrize(
         "text",
@@ -224,12 +238,12 @@ class TestSnapshotIO:
         path = tmp_path / "field.csv"
         path.write_text(text)
         with pytest.raises(SnapshotFormatError):
-            load_field(path)
+            load_field(path, Grid(1, (1.0,), (3,)))
 
     @pytest.mark.parametrize("content", [None, b"\xc0\xff\x00"], ids=["missing", "not_text"])
-    def test_load_names_unreadable_file(self, content, tmp_path):
+    def test_load_names_unreadable_file(self, content, grid1d, tmp_path):
         path = tmp_path / "u_000001.csv"
         if content is not None:
             path.write_bytes(content)
         with pytest.raises(SnapshotFormatError, match="u_000001.csv"):
-            load_field(path)
+            load_field(path, grid1d)

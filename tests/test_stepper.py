@@ -19,6 +19,7 @@ from crystalflow.grid import (
 from crystalflow.nonlinearity import Variant, make_variant, sinh_variant
 from crystalflow.stepper import (
     SchemeParams,
+    _at_step,
     fixed_point_step,
     init_w0,
     newton_step,
@@ -613,6 +614,14 @@ class TestRun:
             run(u0, params)
         assert exc.value.step_index == 0
 
+    def test_initial_cap_failure_names_step_0(self):
+        # w_0 over the cap is step 0's failure, labelled as a failed step k is
+        grid = Grid(1, (1.0,), (65,))
+        u0 = Field.from_function(grid, lambda x: 20.0 * np.cos(8 * np.pi * x))
+        with pytest.raises(OverflowCapError) as exc:
+            run(u0, SchemeParams(tau=0.01, horizon=0.1))
+        assert str(exc.value).startswith("step 0: |argument| = 12471.8 exceeds sinh_arg_cap")
+
     def test_exp_variant_runs(self, grid1d):
         params = SchemeParams(tau=0.01, horizon=0.05)
         traj = run(_random_smooth(grid1d, 0.3, seed=20), params, make_variant("exp"))
@@ -678,8 +687,8 @@ class TestVariantFactories:
 
     def test_sinh_cap_check(self):
         v = sinh_variant()
-        with pytest.raises(OverflowCapError) as exc:
-            v.check_cap(np.array([800.0]), 700.0, step_index=3)
+        with pytest.raises(OverflowCapError) as exc, _at_step(3):
+            v.check_cap(np.array([800.0]), 700.0)
         assert exc.value.step_index == 3
         assert exc.value.max_abs == 800.0
 
