@@ -44,22 +44,32 @@ class InitialSpec:
     zero normal derivative on the box boundary."""
 
     profile: str
-    c: float = 0.0
-    amplitude: float = 0.0
+    c: float | None = None
+    amplitude: float | None = None
     mode: int = 1
     width: float = 0.1
     seed: int | None = None
     path: str | None = None
 
     def __post_init__(self):
+        """Refuses an unknown profile (ValueError), and raises ConfigError
+        listing every key PROFILES declares for the profile that is unset
+        (all but _OPTIONAL_KEYS) and every value out of range."""
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}; choose from {', '.join(PROFILES)}")
+        problems = [
+            f"missing required key {key!r}"
+            for key in PROFILES[self.profile][0]
+            if key not in _OPTIONAL_KEYS and getattr(self, key) is None
+        ]
         if self.mode < 1:
-            raise ValueError("cosine mode must be >= 1")
+            problems.append("cosine mode must be >= 1")
         if self.width <= 0:
-            raise ValueError("gaussian_bump width must be positive")
+            problems.append("gaussian_bump width must be positive")
         if self.seed is not None and self.seed < 0:
-            raise ValueError("random_smooth seed must be >= 0")
+            problems.append("random_smooth seed must be >= 0")
+        if problems:
+            raise ConfigError([f"[initial] {problem}" for problem in problems])
 
 
 @dataclass(frozen=True)
@@ -171,9 +181,9 @@ class _SectionReader:
             self.ok = False
             return None
 
-    def read_given(self, keys: dict, required=()) -> dict:
+    def read_given(self, keys: dict) -> dict:
         """{key: value} for each key of keys the section sets and that parses."""
-        values = {key: self.read(key, kind, key in required) for key, kind in keys.items()}
+        values = {key: self.read(key, kind) for key, kind in keys.items()}
         return {key: value for key, value in values.items() if value is not None}
 
     def finish(self):
@@ -182,9 +192,12 @@ class _SectionReader:
             self.ok = False
 
     def build(self, cls, values):
-        """cls(**values), or None with the reason as a violation."""
+        """cls(**values), or None with the reasons as violations."""
         try:
             return cls(**values)
+        except ConfigError as err:
+            self.violations.extend(err.violations)
+            return None
         except (ValueError, CrystalflowError) as err:
             self.violations.append(f"[{self.name}] {err}")
             return None
@@ -239,9 +252,11 @@ def _parse_initial(raw, violations):
     if profile is not None:
         # an unknown profile reads no keys; InitialSpec names it
         keys = PROFILES[profile][0] if profile in PROFILES else {}
-        values = r.read_given(keys, required=[key for key in keys if key not in _OPTIONAL_KEYS])
-        # built even when a key is missing, so a bad value is reported too
-        spec = r.build(InitialSpec, {"profile": profile, **values})
+        values = r.read_given(keys)
+        # InitialSpec names the missing keys and the out-of-range values
+        # together; a value that did not parse is reported, not missing
+        if r.ok:
+            spec = r.build(InitialSpec, {"profile": profile, **values})
     r.finish()
     return spec if r.ok else None
 

@@ -3,10 +3,9 @@
 The step's elliptic sub-problems are the operators assembled here.
 helmholtz_matrix is B = -Laplacian + tau' I, the block block_uu of the
 step's Newton Jacobian; the stepper assembles it and factors it once per
-grid and tau', and the sinh Newton direction applies B^-1 through that
-factor. pinned_laplacian_matrix is -Laplacian with node 0 pinned; its
-factor, made once per grid, applies the pseudo-inverse of the Neumann
-Laplacian to mean-zero data. weighted_helmholtz_matrix is
+grid and tau', and the sinh Newton direction applies B^-1 to its outer
+data through that factor (the functions of -Laplacian inside its CG are
+applied in the DCT-I basis by spectral.apply). weighted_helmholtz_matrix is
 -div(c grad .) + tau' I, the operator of the fixed-point map, with the
 arithmetic means of the weight on the edges; all come from
 grid.divergence_matrix, so at unit weight the Helmholtz pair agree entry for
@@ -30,7 +29,6 @@ from .grid import Field, Grid, divergence_matrix, laplacian_matrix
 __all__ = [
     "helmholtz_matrix",
     "lu_factor",
-    "pinned_laplacian_matrix",
     "weighted_helmholtz_matrix",
 ]
 
@@ -45,24 +43,6 @@ def helmholtz_matrix(grid: Grid, tau: float) -> sp.csr_matrix:
     """(-Laplacian + tau I) on the flattened grid."""
     n = grid.num_nodes
     return (-laplacian_matrix(grid) + tau * sp.identity(n, format="csr")).tocsr()
-
-
-def pinned_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """-Laplacian with node 0 pinned: row and column 0 replaced by e_0.
-
-    The Neumann Laplacian's kernel is the constants and its range the
-    quadrature-mean-zero fields, on which row 0 of -Laplacian x = r follows
-    from the others. So for mean-zero r with r[0] set to 0, the solution of
-    this nonsingular system is a solution of -Laplacian x = r; removing its
-    quadrature mean gives the pseudo-inverse's. Built from the CSR
-    Laplacian's entries.
-    """
-    a = laplacian_matrix(grid).tocoo()
-    keep = (a.row != 0) & (a.col != 0)
-    rows = np.append(a.row[keep], 0)
-    cols = np.append(a.col[keep], 0)
-    vals = np.append(-a.data[keep], 1.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=a.shape)
 
 
 def lu_factor(M: sp.spmatrix):

@@ -23,12 +23,14 @@ for each Newton direction depends on the variant; there are two paths.
   preconditioning bounds its condition number by
   1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue of
   -Laplacian), about 11 at tau = 1e-3 on the unit box, whatever h or
-  max f'; so PCG takes a few iterations per direction on any grid. B^-1 and
-  (-Laplacian)^+ are applied through two LU factors made once per grid and
-  tau', and no matrix is factored per iteration. This path is taken while
+  max f'; so PCG takes a few iterations per direction on any grid. K and
+  (-Laplacian)^+ are multiplies in the DCT-I basis, where -Laplacian is
+  diagonal on every grid (spectral.apply); B^-1 of the direction's two
+  outer data goes through one LU factor made once per grid and tau', and
+  no matrix is factored per iteration. This path is taken while
   that bound is at most _PCG_COND_MAX; beyond it (small tau mu_1^2: tiny
-  steps or large extents) the CG needs more iterations than one
-  factorization costs, and the step takes the other path.
+  steps or large extents) the CG needs tens of iterations per direction,
+  and the step takes the other path.
 - exp, the p-variant, linear, and hyperbolic steps past that bound: the
   w-update is eliminated through the second equation and the n x n Schur
   matrix left for the u-update is factored afresh each iteration.
@@ -53,12 +55,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elliptic import (
-    helmholtz_matrix,
-    lu_factor,
-    pinned_laplacian_matrix,
-    weighted_helmholtz_matrix,
-)
+from . import spectral
+from .elliptic import helmholtz_matrix, lu_factor, weighted_helmholtz_matrix
 from .exceptions import OverflowCapError, SolverFailure, StepFailure, UnsupportedDimensionError
 from .grid import Field, Grid, laplacian_matrix, p_laplacian_1d, p_laplacian_jacobian_1d
 from .nonlinearity import Variant, sinh_variant
@@ -167,16 +165,9 @@ class Trajectory:
 @lru_cache(maxsize=16)
 def _helmholtz_factor(grid: Grid, tau_reg: float):
     """LU of B = -Laplacian + tau' I, made once per grid and tau'. The sinh
-    Newton direction applies B^-1 through it, and so does the fixed-point
-    map's u-solve."""
+    Newton direction applies B^-1 through it to its two outer data (g and
+    du), and so does the fixed-point map's u-solve."""
     return lu_factor(helmholtz_matrix(grid, tau_reg))
-
-
-@lru_cache(maxsize=16)
-def _pinned_laplacian_factor(grid: Grid):
-    """LU of -Laplacian with node 0 pinned, made once per grid; see
-    _neg_lap_pinv."""
-    return lu_factor(pinned_laplacian_matrix(grid))
 
 
 _PICARD_MAX_ITER = 200
@@ -374,20 +365,24 @@ def fixed_point_step(
 _NEWTON_MAX_ITER = 60
 
 # PCG of the hyperbolic Newton direction stops when its preconditioned
-# residual norm has fallen by _CG_RTOL. Since K + diag(f') >= diag(f'), that
-# bounds the relative energy-norm error of the direction by
-# sqrt(cond) * _CG_RTOL, with cond at most _pcg_condition_bound (about 11 at
-# tau = 1e-3 on the unit box, 4-9 iterations per direction). Where that
-# bound exceeds _PCG_COND_MAX, the factored Schur matrix is cheaper and the
-# direction takes the LU path. Measured on sinh runs of 10 steps (2-D 33^2
-# and 65^2, cosine amplitude 0.1, one BLAS thread): against the LU path,
-# PCG is 1.2-1.6x faster at bounds of 830-2800 on 65^2 (tau 1e-5 on the
-# unit box, tau 1e-4 on 2 x 2, tau 3e-4 on 3 x 3) and even to 1.3x faster
-# on 33^2, about even to 1.2x slower near 4200, and 1.2-2.2x slower near
-# 8300 (tau 1e-4 on 3 x 3), where the less exact direction can also cost
-# extra Newton iterations (10 -> 17 at amplitude 0.02). At the threshold,
-# CG's worst case to _CG_RTOL is about 760 iterations, so the cap is a
-# guard that a converging direction does not reach.
+# residual norm has fallen by _CG_RTOL relative to the whole direction
+# (_pcg). Since K + diag(f') >= diag(f'), that bounds the relative
+# energy-norm error of the direction by sqrt(cond) * _CG_RTOL, with cond at
+# most _pcg_condition_bound (about 11 at tau = 1e-3 on the unit box, 4-9
+# iterations per direction). Where that bound exceeds _PCG_COND_MAX, the
+# direction takes the factored Schur path. The threshold was set while each
+# CG iteration applied K through two LU solves. Re-measured with K applied
+# in the DCT-I basis (sinh runs of 10 steps, cosine amplitude 0.1, one BLAS
+# thread, best of 3 on a shared 2-vCPU VM): against the Schur path, PCG is
+# 1.7-2.5x faster on 33^2 and 3.2-4.7x faster on 65^2 at bounds of 820-2800
+# (tau 2e-4 and 1e-4 on 2 x 2, tau 1e-5 on the unit box, tau 3e-4 on
+# 3 x 3), and 1.1-1.4x (33^2) and 2.4-2.7x (65^2) faster near 8300 (tau 1e-4
+# on 3 x 3). At amplitude 0.02 near 8300 the less exact direction costs
+# extra Newton iterations (10 -> 16-17, 30-36 CG iterations per direction):
+# there the Schur path is 1.2x faster on 33^2 and 1.9x slower on 65^2. The
+# threshold stays until the preconditioner is chosen per direction (ROADMAP
+# item 13). At it, CG's worst case to _CG_RTOL is about 760 iterations, so
+# the cap is a guard that a converging direction does not reach.
 _CG_RTOL = 1e-10
 _CG_MAX_ITER = 1000
 _PCG_COND_MAX = 3000.0
@@ -396,12 +391,9 @@ _PCG_COND_MAX = 3000.0
 def _pcg_condition_bound(grid: Grid, tau: float, tau_reg: float) -> float:
     """1 + 1/(tau mu_1^2) + tau'/mu_1: the bound on the Jacobi-preconditioned
     condition number of the hyperbolic direction's system, with mu_1 the
-    smallest nonzero eigenvalue of the discrete Neumann -Laplacian,
-    (2/h)^2 sin^2(pi/(2(N - 1))) on the axis where it is least."""
-    mu_1 = min(
-        (2.0 / h) ** 2 * np.sin(np.pi / (2 * (nodes - 1))) ** 2
-        for h, nodes in zip(grid.spacing, grid.nodes)
-    )
+    smallest nonzero eigenvalue of the discrete Neumann -Laplacian, taken
+    from spectral.eigenvalues."""
+    mu_1 = spectral.eigenvalues(grid).ravel()[1:].min()
     return 1.0 + 1.0 / (tau * mu_1**2) + tau_reg / mu_1
 
 
@@ -416,14 +408,6 @@ def _lu_direction(lap, eye, block_uu, tau: float, tau_reg: float, df_w, r1, r2):
     du = lu_factor(schur).solve(-r1 - block_uw @ r2)
     dw = block_uu @ du + r2
     return du, dw
-
-
-def _neg_lap_pinv(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """(-Laplacian)^+ x: the quadrature-mean-zero solution for the
-    mean-zero part of x, through the pinned factor."""
-    rhs = _remove_mean(grid, x)
-    rhs[0] = 0.0
-    return _remove_mean(grid, _pinned_laplacian_factor(grid).solve(rhs))
 
 
 def _remove_mean(grid: Grid, x: np.ndarray) -> np.ndarray:
@@ -442,21 +426,28 @@ def _pcg_direction(grid: Grid, tau: float, tau_reg: float, variant: Variant, w, 
     (K + P diag(f')) z = (-Laplacian)^+ g - m P f'
     with K = (-Laplacian)^+ (B^-1/tau + tau' I) and P the removal of the
     mean; it is self-adjoint and positive definite in the quadrature inner
-    product. Returns du, dw and the number of PCG iterations; a direction
-    whose arithmetic overflows or is not finite raises SolverFailure.
+    product. K and (-Laplacian)^+ are multiplies in the DCT-I basis, by
+    kappa(lambda) = (1/(tau (lambda + tau')) + tau')/lambda and 1/lambda (0
+    on the constant mode); B^-1 of g and du goes through _helmholtz_factor.
+    Returns du, dw and the number of PCG iterations; a direction whose
+    arithmetic overflows or is not finite raises SolverFailure.
     """
     q = grid.quad_weights()
     b_solve = _helmholtz_factor(grid, tau_reg).solve
+    lam = spectral.eigenvalues(grid)
+    pinv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
+    kappa = (1.0 / (tau * (lam + tau_reg)) + tau_reg) * pinv
     d = variant.df(w)
 
     def apply(z):
-        return _neg_lap_pinv(grid, b_solve(z) / tau + tau_reg * z) + _remove_mean(grid, d * z)
+        return spectral.apply(grid, kappa, z) + _remove_mean(grid, d * z)
 
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             g = -r1 + b_solve(r2) / tau
             m = (q @ g) / q.sum() / (1.0 / (tau_reg * tau) + tau_reg)
-            z, iters = _pcg(apply, _neg_lap_pinv(grid, g) - m * _remove_mean(grid, d), d, grid)
+            b = spectral.apply(grid, pinv, g) - m * _remove_mean(grid, d)
+            z, iters = _pcg(apply, b, d, m, grid)
             dw = m + z
             du = b_solve(dw - r2)
         if not (np.isfinite(du).all() and np.isfinite(dw).all()):
@@ -468,19 +459,23 @@ def _pcg_direction(grid: Grid, tau: float, tau_reg: float, variant: Variant, w, 
     return du, dw, iters
 
 
-def _pcg(apply, b: np.ndarray, d: np.ndarray, grid: Grid):
+def _pcg(apply, b: np.ndarray, d: np.ndarray, m: float, grid: Grid):
     """Jacobi-preconditioned CG on the quadrature-mean-zero fields.
 
     Conjugate in the trapezoid inner product, preconditioned by diag(d)^-1
-    followed by the removal of the mean. Returns the iterate and the number
-    of iterations taken.
+    followed by the removal of the mean. It stops once the preconditioned
+    residual norm has fallen by _CG_RTOL relative to the whole direction,
+    the known mean m included in the same d-weighted norm: where the
+    mean-zero part is round-off (a constant state), a stop relative to it
+    alone would chase noise. Returns the iterate and the number of
+    iterations taken.
     """
     q = grid.quad_weights()
     x = np.zeros_like(b)
     r = b
     s = _remove_mean(grid, r / d)
     rs = q @ (r * s)
-    stop = _CG_RTOL**2 * rs
+    stop = _CG_RTOL**2 * (rs + m * m * (q @ d))
     p = s
     for k in range(_CG_MAX_ITER):
         if rs <= stop:
@@ -513,8 +508,8 @@ def newton_step(
       f' >= 1), while the bound below is at most _PCG_COND_MAX:
       _pcg_direction eliminates du and solves for dw. The mean of dw has a
       closed form; its mean-zero part comes from Jacobi PCG on
-      K + P diag(f'(w)), applying B^-1 and (-Laplacian)^+ through two LU
-      factors made once per grid and tau'. Because f' >= 1, the
+      K + P diag(f'(w)), applying K in the DCT-I basis and B^-1 through
+      one LU factor made once per grid and tau'. Because f' >= 1, the
       preconditioned condition number is at most
       1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue
       of -Laplacian) whatever h or max f', so the PCG iterations per

@@ -11,7 +11,7 @@ from crystalflow.config import (
     config_to_text,
     parse_config,
 )
-from crystalflow.exceptions import ConfigError, SnapshotFormatError
+from crystalflow.exceptions import ConfigError, CrystalflowError, SnapshotFormatError
 from crystalflow.grid import Field, Grid, save_field
 
 MINIMAL = """
@@ -234,6 +234,20 @@ class TestProfiles:
             "gaussian_bump, random_smooth, snapshot",
             "line 8: unknown key 'amplitude' in [initial]",
         ]
+
+    def test_unseeded_random_smooth_refused(self):
+        """Through the API as in a config, random_smooth needs a seed: an
+        unseeded field would not be reproducible."""
+        with pytest.raises(ConfigError) as exc:
+            InitialSpec("random_smooth", amplitude=0.4)
+        assert exc.value.violations == ["[initial] missing required key 'seed'"]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace("profile = cosine", "profile = random_smooth"))
+        assert exc.value.violations == ["[initial] missing required key 'seed'"]
+
+    def test_snapshot_without_path_is_package_error(self):
+        with pytest.raises(CrystalflowError, match="missing required key 'path'"):
+            InitialSpec("snapshot")
 
     def test_constant(self):
         cfg = parse_config(

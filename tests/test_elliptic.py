@@ -4,13 +4,8 @@ convergence."""
 import numpy as np
 import pytest
 
-from crystalflow.elliptic import (
-    helmholtz_matrix,
-    lu_factor,
-    pinned_laplacian_matrix,
-    weighted_helmholtz_matrix,
-)
-from crystalflow.grid import Field, Grid, laplacian_matrix
+from crystalflow.elliptic import helmholtz_matrix, lu_factor, weighted_helmholtz_matrix
+from crystalflow.grid import Field, Grid
 
 
 @pytest.fixture
@@ -50,22 +45,6 @@ class TestHelmholtz:
         rng = np.random.default_rng(0)
         rhs = rng.standard_normal(grid2d.num_nodes)
         assert lu_residual(helmholtz_matrix(grid2d, 0.01), rhs) <= 1e-10 * np.abs(rhs).max()
-
-
-class TestPinnedLaplacian:
-    @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
-    def test_solves_neumann_problem_for_mean_zero_data(self, grid_name, request):
-        """For quadrature-mean-zero r with r[0] set to 0, the pinned solve
-        solves -Laplacian x = r in every row, row 0 included."""
-        grid = request.getfixturevalue(grid_name)
-        q = grid.quad_weights()
-        r = np.random.default_rng(5).standard_normal(grid.num_nodes)
-        r -= (q @ r) / q.sum()
-        rhs = r.copy()
-        rhs[0] = 0.0
-        x = lu_factor(pinned_laplacian_matrix(grid)).solve(rhs)
-        assert x[0] == 0.0
-        assert np.abs(-(laplacian_matrix(grid) @ x) - r).max() <= 1e-10 * np.abs(r).max()
 
 
 class TestWeighted:

@@ -277,9 +277,9 @@ class TestCompare:
             "t,w_sup_sinh,energy_sinh,w_sup_exp,energy_exp,w_sup_linear,energy_linear\n"
             "0,9.7439198385552981,590.51583305720874,9.7439198385552981,590.5158330572084,"
             "9.7439198385552981,11.867996727523931\n"
-            "0.001,3.3489405073772254,5.8276554770230939,16.77823901267594,5.2989182229896805,"
+            "0.001,3.3489405073772258,5.8276554770230939,16.77823901267594,5.2989182229896805,"
             "7.0619583019838981,6.2339068823698991\n"
-            "0.002,2.1895854840250109,2.2148500213250841,22.058827822534305,3.1881644433127008,"
+            "0.002,2.1895854840250113,2.2148500213250846,22.058827822534305,3.1881644433127008,"
             "5.118192255813292,3.2744864959333881\n"
             "0.0030000000000000001,1.5690259048871655,1.4707331454193031,38.539611055958588,"
             "2.4769440454970435,3.7094373610373816,1.7199906919324912\n"
