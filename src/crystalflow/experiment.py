@@ -2,9 +2,10 @@
 
 Every run writes a self-contained directory: the canonical config text,
 a per-step trajectory CSV, estimate report CSVs, optional field snapshots
-and a manifest listing each artifact with its content hash. Failures keep
-whatever was produced and mark the manifest FAILED so partial output is
-never mistaken for a clean run.
+and a manifest listing each artifact with its content hash and the run's
+Newton and PCG iteration totals (null when no trajectory was made).
+Failures keep whatever was produced and mark the manifest FAILED so
+partial output is never mistaken for a clean run.
 """
 
 from __future__ import annotations
@@ -215,6 +216,8 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
         },
         "wall_clock_seconds": time.time() - started,
         "artifacts": artifacts,
+        "newton_iterations": None if traj is None else sum(r.newton_iters for r in traj.records),
+        "cg_iterations": None if traj is None else sum(r.cg_iters for r in traj.records),
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n"

@@ -27,7 +27,10 @@ for each Newton direction depends on the variant; there are two paths.
   (-Laplacian)^+ are multiplies in the DCT-I basis, where -Laplacian is
   diagonal on every grid (spectral.apply); B^-1 of the direction's two
   outer data goes through one LU factor made once per grid and tau', and
-  no matrix is factored per iteration. This path is taken while
+  no matrix is factored per iteration. Newton is inexact on this path: PCG
+  solves each direction only to an Eisenstat-Walker forcing term eta_k =
+  0.9 (res_k/res_{k-1})^2, at most 0.1, and to 1e-10 once the residual is
+  within 1e3 times the step tolerance. This path is taken while
   that bound is at most _PCG_COND_MAX; beyond it (small tau mu_1^2: tiny
   steps or large extents) the CG needs tens of iterations per direction,
   and the step takes the other path.
@@ -140,11 +143,15 @@ class StepDiagnostics:
 
 @dataclass
 class StepRecord:
+    """One stored step. cg_iters is the step's total of PCG iterations: 0 on
+    the LU path, at step 0 and for a run reloaded from its snapshots."""
+
     k: int
     u: Field
     w: Field
     newton_iters: int
     residual_inf: float
+    cg_iters: int = 0
 
 
 @dataclass
@@ -365,11 +372,12 @@ def fixed_point_step(
 _NEWTON_MAX_ITER = 60
 
 # PCG of the hyperbolic Newton direction stops when its preconditioned
-# residual norm has fallen by _CG_RTOL relative to the whole direction
-# (_pcg). Since K + diag(f') >= diag(f'), that bounds the relative
-# energy-norm error of the direction by sqrt(cond) * _CG_RTOL, with cond at
-# most _pcg_condition_bound (about 11 at tau = 1e-3 on the unit box, 4-9
-# iterations per direction). Where that bound exceeds _PCG_COND_MAX, the
+# residual norm has fallen by a relative tolerance, at least _CG_RTOL, with
+# respect to the whole direction (_pcg). Since K + diag(f') >= diag(f'), the
+# full solve bounds the relative energy-norm error of the direction by
+# sqrt(cond) * _CG_RTOL, with cond at most _pcg_condition_bound (about 11
+# at tau = 1e-3 on the unit box, 4-9 iterations per direction to
+# _CG_RTOL). Where that bound exceeds _PCG_COND_MAX, the
 # direction takes the factored Schur path. The threshold was set while each
 # CG iteration applied K through two LU solves. Re-measured with K applied
 # in the DCT-I basis (sinh runs of 10 steps, cosine amplitude 0.1, one BLAS
@@ -386,6 +394,18 @@ _NEWTON_MAX_ITER = 60
 _CG_RTOL = 1e-10
 _CG_MAX_ITER = 1000
 _PCG_COND_MAX = 3000.0
+
+# Inexact Newton (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996, choice
+# 2; Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
+# ch. 6): PCG solves each direction only to the relative tolerance eta_k of
+# _forcing_term. Within _FULL_SOLVE_FACTOR of the step tolerance every
+# direction is solved to _CG_RTOL again: with forcing terms alone, 2 of 140
+# jittered 2-D 65^2 starts at amplitude 0.5 stagnated at step 1 at a
+# residual of 1.016e-10 against 1.010e-10 (the round-off floor of ROADMAP
+# item 1), and 0 of 140 with this rule.
+_EW_GAMMA = 0.9
+_ETA_MAX = 0.1
+_FULL_SOLVE_FACTOR = 1e3
 
 
 def _pcg_condition_bound(grid: Grid, tau: float, tau_reg: float) -> float:
@@ -415,8 +435,33 @@ def _remove_mean(grid: Grid, x: np.ndarray) -> np.ndarray:
     return x - (q @ x) / q.sum()
 
 
-def _pcg_direction(grid: Grid, tau: float, tau_reg: float, variant: Variant, w, r1, r2):
-    """Newton direction by eliminating du and solving for dw with PCG.
+def _forcing_term(history: list, eta_prev: float, tol: float) -> float:
+    """Relative PCG tolerance of the next Newton direction, given the
+    residual history (the current residual last) and the previous one.
+
+    Eisenstat-Walker choice 2: eta_0 = _ETA_MAX, then
+    eta_k = gamma (res_k/res_{k-1})^2, raised to gamma eta_{k-1}^2 where that
+    exceeds 0.1 (a safeguard that binds only for _ETA_MAX above 1/3), and
+    clipped to [_CG_RTOL, _ETA_MAX]. Once res_k <= _FULL_SOLVE_FACTOR tol it
+    is _CG_RTOL.
+    """
+    res = history[-1]
+    if res <= _FULL_SOLVE_FACTOR * tol:
+        return _CG_RTOL
+    if len(history) == 1:
+        return _ETA_MAX
+    eta = _EW_GAMMA * (res / history[-2]) ** 2
+    safeguard = _EW_GAMMA * eta_prev**2
+    if safeguard > 0.1:
+        eta = max(eta, safeguard)
+    return min(max(eta, _CG_RTOL), _ETA_MAX)
+
+
+def _pcg_direction(
+    grid: Grid, tau: float, tau_reg: float, variant: Variant, w, r1, r2, rtol: float
+):
+    """Newton direction by eliminating du and solving for dw with PCG to the
+    relative tolerance rtol.
 
     The u-row gives du = B^-1 (dw - r2), leaving J_w dw = g with
     J_w = B^-1/tau + tau' I - Laplacian diag(f'(w)) and g = -r1 + B^-1 r2/tau.
@@ -447,7 +492,7 @@ def _pcg_direction(grid: Grid, tau: float, tau_reg: float, variant: Variant, w, 
             g = -r1 + b_solve(r2) / tau
             m = (q @ g) / q.sum() / (1.0 / (tau_reg * tau) + tau_reg)
             b = spectral.apply(grid, pinv, g) - m * _remove_mean(grid, d)
-            z, iters = _pcg(apply, b, d, m, grid)
+            z, iters = _pcg(apply, b, d, m, grid, rtol)
             dw = m + z
             du = b_solve(dw - r2)
         if not (np.isfinite(du).all() and np.isfinite(dw).all()):
@@ -459,12 +504,12 @@ def _pcg_direction(grid: Grid, tau: float, tau_reg: float, variant: Variant, w, 
     return du, dw, iters
 
 
-def _pcg(apply, b: np.ndarray, d: np.ndarray, m: float, grid: Grid):
+def _pcg(apply, b: np.ndarray, d: np.ndarray, m: float, grid: Grid, rtol: float):
     """Jacobi-preconditioned CG on the quadrature-mean-zero fields.
 
     Conjugate in the trapezoid inner product, preconditioned by diag(d)^-1
     followed by the removal of the mean. It stops once the preconditioned
-    residual norm has fallen by _CG_RTOL relative to the whole direction,
+    residual norm has fallen by rtol relative to the whole direction,
     the known mean m included in the same d-weighted norm: where the
     mean-zero part is round-off (a constant state), a stop relative to it
     alone would chase noise. Returns the iterate and the number of
@@ -475,7 +520,7 @@ def _pcg(apply, b: np.ndarray, d: np.ndarray, m: float, grid: Grid):
     r = b
     s = _remove_mean(grid, r / d)
     rs = q @ (r * s)
-    stop = _CG_RTOL**2 * (rs + m * m * (q @ d))
+    stop = rtol**2 * (rs + m * m * (q @ d))
     p = s
     for k in range(_CG_MAX_ITER):
         if rs <= stop:
@@ -513,7 +558,11 @@ def newton_step(
       preconditioned condition number is at most
       1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue
       of -Laplacian) whatever h or max f', so the PCG iterations per
-      direction do not grow with the grid.
+      direction do not grow with the grid. Each direction is solved only
+      to the relative tolerance eta_k of _forcing_term (Eisenstat-Walker
+      choice 2, gamma 0.9, eta_0 = eta_max = 0.1), and to _CG_RTOL once
+      the residual is within _FULL_SOLVE_FACTOR = 1e3 of picard_tol,
+      where a looser direction stagnates against round-off.
     - exp, the p-variant, linear, and hyperbolic steps whose bound exceeds
       _PCG_COND_MAX (small tau mu_1^2: tiny steps or large extents):
       _lu_direction factors the Schur matrix I/tau + A B of the u-update
@@ -521,7 +570,9 @@ def newton_step(
       symmetric mode, diagonal pivot threshold 1e-3). B is assembled once
       per step.
 
-    A PCG direction whose arithmetic overflows raises SolverFailure.
+    Acceptance does not depend on the path: the step ends when both
+    stencil residuals are at most picard_tol. A PCG direction whose
+    arithmetic overflows raises SolverFailure.
     """
     variant = variant or sinh_variant()
     grid = v.grid
@@ -550,12 +601,14 @@ def newton_step(
     res = np.abs(r).max()
     history = [float(res)]
     cg_iters = []
+    eta = _ETA_MAX
 
     for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
             break
         if pcg_path:
-            du, dw, its = _pcg_direction(grid, tau, tau_reg, variant, w, r[:n], r[n:])
+            eta = _forcing_term(history, eta, tol)
+            du, dw, its = _pcg_direction(grid, tau, tau_reg, variant, w, r[:n], r[n:], eta)
             cg_iters.append(its)
         else:
             if variant.p is not None:
@@ -634,6 +687,7 @@ def run(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Traj
         with _at_step(k):
             u, w, diag = newton_step(u, params, (u, w), variant)
         records.append(
-            StepRecord(k, u, w, len(diag.residual_history) - 1, diag.residual_inf)
+            StepRecord(k, u, w, len(diag.residual_history) - 1, diag.residual_inf,
+                       sum(diag.cg_iters))
         )
     return Trajectory(params=params, grid=grid, variant=variant, records=records)

@@ -99,6 +99,32 @@ class TestRunExperiment:
             data = (result.directory / rel).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_manifest_iteration_totals(self, tmp_path, monkeypatch):
+        """manifest.json holds the run's Newton and PCG iteration totals, the
+        sums over its records; the PCG total is every iteration the sinh
+        directions took, and 0 for exp, whose directions are factored."""
+        pcg_direction, cg = stepper._pcg_direction, []
+
+        def counting(*args):
+            out = pcg_direction(*args)
+            cg.append(out[2])
+            return out
+
+        monkeypatch.setattr(stepper, "_pcg_direction", counting)
+        for kind in ("sinh", "exp"):
+            cg.clear()
+            cfg = make_cfg(**{"[output]": f"[variant]\nkind = {kind}\n\n[output]",
+                              "directory = demo": f"directory = {kind}"})
+            result = run_experiment(cfg, tmp_path)
+            manifest = json.loads((result.directory / "manifest.json").read_text())
+            records = result.trajectory.records
+            newton = [int(row["newton_iters"]) for row in trajectory_rows(result.directory)]
+            assert manifest["newton_iterations"] == sum(r.newton_iters for r in records)
+            assert manifest["newton_iterations"] == sum(newton) > 0
+            assert manifest["cg_iterations"] == sum(r.cg_iters for r in records) == sum(cg)
+            assert records[0].cg_iters == 0
+            assert (manifest["cg_iterations"] > 0) == (kind == "sinh")
+
     def test_snapshots_written_at_stride(self, tmp_path):
         cfg = make_cfg(**{"directory = demo": "directory = demo\nsnapshot_stride = 5"})
         result = run_experiment(cfg, tmp_path)
@@ -115,6 +141,7 @@ class TestRunExperiment:
         manifest = json.loads((result.directory / "manifest.json").read_text())
         assert manifest["status"] == "FAILED"
         assert "config.txt" in manifest["artifacts"]
+        assert manifest["newton_iterations"] is None and manifest["cg_iterations"] is None
 
     def test_corrupt_snapshot_profile_fails_with_manifest(self, tmp_path):
         snap = tmp_path / "corrupt.csv"
@@ -279,9 +306,9 @@ class TestCompare:
             "9.7439198385552981,11.867996727523931\n"
             "0.001,3.3489405073772258,5.8276554770230939,16.77823901267594,5.2989182229896805,"
             "7.0619583019838981,6.2339068823698991\n"
-            "0.002,2.1895854840250113,2.2148500213250846,22.058827822534305,3.1881644433127008,"
+            "0.002,2.1895854840249895,2.2148500213250819,22.058827822534305,3.1881644433127008,"
             "5.118192255813292,3.2744864959333881\n"
-            "0.0030000000000000001,1.5690259048871655,1.4707331454193031,38.539611055958588,"
+            "0.0030000000000000001,1.569025904887164,1.4707331454193022,38.539611055958588,"
             "2.4769440454970435,3.7094373610373816,1.7199906919324912\n"
         )
 
