@@ -5,7 +5,8 @@ helmholtz_matrix is B = -Laplacian + tau' I, the block block_uu of the
 step's Newton Jacobian; the stepper assembles it and factors it once per
 grid and tau', and the sinh Newton direction applies B^-1 to its outer
 data through that factor (the functions of -Laplacian inside its CG are
-applied in the DCT-I basis by spectral.apply). weighted_helmholtz_matrix is
+applied in the DCT-I basis by spectral.apply, as cached per-axis cosine
+matrix products). weighted_helmholtz_matrix is
 -div(c grad .) + tau' I, the operator of the fixed-point map, with the
 arithmetic means of the weight on the edges; all come from
 grid.divergence_matrix, so at unit weight the Helmholtz pair agree entry for

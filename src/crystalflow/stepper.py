@@ -25,15 +25,16 @@ for each Newton direction depends on the variant; there are two paths.
   -Laplacian), about 11 at tau = 1e-3 on the unit box, whatever h or
   max f'; so PCG takes a few iterations per direction on any grid. K and
   (-Laplacian)^+ are multiplies in the DCT-I basis, where -Laplacian is
-  diagonal on every grid (spectral.apply); B^-1 of the direction's two
+  diagonal on every grid (spectral.apply, one cached cosine-matrix product
+  per axis of up to 257 nodes); B^-1 of the direction's two
   outer data goes through one LU factor made once per grid and tau', and
   no matrix is factored per iteration. Newton is inexact on this path: PCG
   solves each direction only to an Eisenstat-Walker forcing term eta_k =
   0.9 (res_k/res_{k-1})^2, at most 0.1, and to 1e-10 once the residual is
   within 1e3 times the step tolerance. This path is taken while
-  that bound is at most _PCG_COND_MAX; beyond it (small tau mu_1^2: tiny
-  steps or large extents) the CG needs tens of iterations per direction,
-  and the step takes the other path.
+  that bound is at most _PCG_COND_MAX = 1e4; beyond it (small tau mu_1^2:
+  tiny steps or large extents) CG's worst case per direction would pass its
+  iteration cap, and the step takes the other path.
 - exp, the p-variant, linear, and hyperbolic steps past that bound: the
   w-update is eliminated through the second equation and the n x n Schur
   matrix left for the u-update is factored afresh each iteration.
@@ -378,22 +379,27 @@ _NEWTON_MAX_ITER = 60
 # sqrt(cond) * _CG_RTOL, with cond at most _pcg_condition_bound (about 11
 # at tau = 1e-3 on the unit box, 4-9 iterations per direction to
 # _CG_RTOL). Where that bound exceeds _PCG_COND_MAX, the
-# direction takes the factored Schur path. The threshold was set while each
-# CG iteration applied K through two LU solves. Re-measured with K applied
-# in the DCT-I basis (sinh runs of 10 steps, cosine amplitude 0.1, one BLAS
-# thread, best of 3 on a shared 2-vCPU VM): against the Schur path, PCG is
-# 1.7-2.5x faster on 33^2 and 3.2-4.7x faster on 65^2 at bounds of 820-2800
-# (tau 2e-4 and 1e-4 on 2 x 2, tau 1e-5 on the unit box, tau 3e-4 on
-# 3 x 3), and 1.1-1.4x (33^2) and 2.4-2.7x (65^2) faster near 8300 (tau 1e-4
-# on 3 x 3). At amplitude 0.02 near 8300 the less exact direction costs
-# extra Newton iterations (10 -> 16-17, 30-36 CG iterations per direction):
-# there the Schur path is 1.2x faster on 33^2 and 1.9x slower on 65^2. The
-# threshold stays until the preconditioner is chosen per direction (ROADMAP
-# item 13). At it, CG's worst case to _CG_RTOL is about 760 iterations, so
-# the cap is a guard that a converging direction does not reach.
+# direction takes the factored Schur path. Measured with the DCT-I applied
+# by dense per-axis products (sinh runs of 10 steps from a cosine start, one
+# BLAS thread, best of 3 on a shared 2-vCPU VM; Schur against PCG), PCG is
+# the faster path at every bound tried:
+#   bound  8300 (tau 1e-4 on 3 x 3), amplitude 0.02: 0.084 against 0.028 s
+#     on 33^2, 0.370 against 0.063 s on 65^2;
+#   the same at amplitude 0.1: 0.149 against 0.045 s (33^2), 0.694 against
+#     0.106 s (65^2);
+#   bound  1030 (tau 1e-5 on the unit box), 65^2, amplitude 0.1: 1.075
+#     against 0.173 s;
+#   bound 16600 (tau 5e-5 on 3 x 3), 65^2, amplitude 0.1: 0.663 against
+#     0.125 s.
+# PCG takes more Newton iterations there (21 against 10 over the 10 steps at
+# amplitude 0.02, and up to 99 CG iterations per direction), and its final u
+# agrees with the Schur path's within 5.3e-14. The threshold is set where
+# CG's worst case to _CG_RTOL, (sqrt(cond)/2) ln(2 sqrt(cond)/_CG_RTOL),
+# about 1420 iterations at 1e4, stays below the cap, so the cap is a guard
+# that a converging direction does not reach.
 _CG_RTOL = 1e-10
-_CG_MAX_ITER = 1000
-_PCG_COND_MAX = 3000.0
+_CG_MAX_ITER = 2000
+_PCG_COND_MAX = 1e4
 
 # Inexact Newton (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996, choice
 # 2; Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,

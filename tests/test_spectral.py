@@ -3,18 +3,28 @@ assembled operators."""
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from crystalflow import spectral, stepper
 from crystalflow.grid import Grid, laplacian_matrix
 
 # non-cubic boxes and node counts, so a transform along the wrong axis or an
-# eigenvalue on the wrong axis shows
+# eigenvalue on the wrong axis shows; the 301-node axis is past
+# _DENSE_MAX_NODES and takes the rfft, its 5-node partner the matrix
 GRIDS = [
     Grid(1, (1.0,), (33,)),
     Grid(2, (1.3, 0.7), (21, 13)),
     Grid(3, (1.0, 0.6, 1.4), (9, 5, 7)),
+    Grid(2, (2.0, 0.5), (301, 5)),
 ]
-GRID_IDS = ["1d-33", "2d-21x13", "3d-9x5x7"]
+GRID_IDS = ["1d-33", "2d-21x13", "3d-9x5x7", "2d-301x5"]
+
+
+def test_grids_cover_both_transforms():
+    """GRIDS has axes on both sides of _DENSE_MAX_NODES, so the tests below
+    reach the cosine matrix and the rfft."""
+    axes = [n for grid in GRIDS for n in grid.nodes]
+    assert min(axes) <= spectral._DENSE_MAX_NODES < max(axes)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -27,15 +37,41 @@ class TestSpectralHelper:
         assert np.abs(np.sort(lam.ravel()) - eigs).max() <= 1e-12 * eigs.max()
 
     def test_helmholtz_inverse_matches_factor(self, grid):
-        """1/(lambda + tau') applies B^-1 as the cached LU does. At tau' = 1:
-        at small tau' the rounding of the assembled diagonal (2048 + 0.01 on
-        1-D 33) moves the LU's constant mode by up to 2e-11 relative, which
-        the closed-form eigenvalues do not share."""
-        tau_reg = 1.0
+        """1/(lambda + tau') applies B^-1 as the cached LU does, at tau' a
+        thousandth of the largest eigenvalue. At smaller tau' the rounding of
+        the assembled diagonal moves the LU's constant mode, which the
+        closed-form eigenvalues do not share: by up to 2e-11 relative at
+        2048 + 0.01 on 1-D 33, and by 1.1e-12 at tau' = 1 on 301 x 5, whose
+        diagonal is about 45000."""
+        tau_reg = 1e-3 * spectral.eigenvalues(grid).max()
         x = np.random.default_rng(8).standard_normal(grid.num_nodes)
         ref = stepper._helmholtz_factor(grid, tau_reg).solve(x)
         out = spectral.apply(grid, 1.0 / (spectral.eigenvalues(grid) + tau_reg), x)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_apply_matches_scipy_dctn(self, grid):
+        """apply is an unnormalised DCT-I along every axis, a multiply and the
+        same transform again, over the product of 2(N - 1): scipy.fft.dctn
+        of type 1 computes the same pipeline independently."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(grid.num_nodes)
+        multiplier = rng.standard_normal(grid.nodes)
+        scale = np.prod([2 * (n - 1) for n in grid.nodes])
+        ref = scipy.fft.dctn(scipy.fft.dctn(x.reshape(grid.nodes), type=1) * multiplier, type=1)
+        ref = ref.reshape(-1) / scale
+        out = spectral.apply(grid, multiplier, x)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_cosine_matrix_squares_to_scale(self, grid):
+        """Each axis of at most _DENSE_MAX_NODES nodes caches one matrix, whose
+        square is 2(N - 1) I; a longer axis caches none."""
+        spectral._dct1_matrix.cache_clear()
+        spectral.apply(grid, np.ones(grid.nodes), np.ones(grid.num_nodes))
+        short = {n for n in grid.nodes if n <= spectral._DENSE_MAX_NODES}
+        assert spectral._dct1_matrix.cache_info().currsize == len(short)
+        for n in short:
+            m = spectral._dct1_matrix(n)
+            assert np.abs(m @ m - 2 * (n - 1) * np.eye(n)).max() <= 1e-13 * n
 
 
 class TestPseudoInverse:

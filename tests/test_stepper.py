@@ -601,13 +601,13 @@ class TestPCGDirection:
         assert abs(bound - expected) <= 1e-9 * expected
 
     def test_small_tau_mu1_takes_lu_path(self, monkeypatch):
-        """On 17 x 17 over 3 x 3 at tau = 1e-4 the bound is about 8300, past
+        """On 17 x 17 over 3 x 3 at tau = 5e-5 the bound is about 16700, past
         _PCG_COND_MAX: the sinh step factors its Schur matrices and runs no
         CG, and its result agrees with the PCG path's to the step
         tolerance."""
         grid = Grid(2, (3.0, 3.0), (17, 17))
-        params = SchemeParams(tau=1e-4, horizon=1e-4)
-        assert stepper._pcg_condition_bound(grid, params.tau, params.reg_weight) > 8000
+        params = SchemeParams(tau=5e-5, horizon=5e-5)
+        assert stepper._pcg_condition_bound(grid, params.tau, params.reg_weight) > 16000
         v = Field.from_function(
             grid, lambda x, y: 0.1 * np.cos(np.pi * x / 3) * np.cos(np.pi * y / 3)
         )
