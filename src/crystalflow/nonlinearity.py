@@ -77,6 +77,12 @@ class Variant:
         energy estimates require: every sinh(K s)/K variant."""
         return self.name not in ("exp", "linear")
 
+    @property
+    def df_at_least_one(self) -> bool:
+        """True when f' >= 1 everywhere: every sinh(K s)/K variant and linear.
+        The Newton direction's PCG condition bound rests on it."""
+        return self.name != "exp"
+
     # -- evaluation ----------------------------------------------------------
 
     def check_cap(self, w: np.ndarray, cap: float) -> None:

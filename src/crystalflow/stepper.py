@@ -11,9 +11,10 @@ convergence studies).
 
 Each step is one Newton solve of the coupled residual with a halving line
 search, started from the previous step's pair (u, w). Only the linear solve
-for each Newton direction depends on the variant; there are two paths.
+for each Newton direction depends on the variant, and each variant has one
+path, whatever tau, h or box.
 
-- sinh and scaled_sinh (f' >= 1, linear second equation): the
+- sinh, scaled_sinh and linear (f' >= 1, linear second equation): the
   u-update is eliminated through u = B^-1 w, B = -Laplacian + tau' I, and
   the w-update is split into its quadrature mean, which has a closed form,
   and a mean-zero part. Symmetrized by the pseudo-inverse of -Laplacian, the
@@ -23,21 +24,20 @@ for each Newton direction depends on the variant; there are two paths.
   preconditioning bounds its condition number by
   1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue of
   -Laplacian), about 11 at tau = 1e-3 on the unit box, whatever h or
-  max f'; so PCG takes a few iterations per direction on any grid. K and
-  (-Laplacian)^+ are multiplies in the DCT-I basis, where -Laplacian is
-  diagonal on every grid (spectral.apply, one cached cosine-matrix product
-  per axis of up to 257 nodes); B^-1 of the direction's two
-  outer data goes through one LU factor made once per grid and tau', and
-  no matrix is factored per iteration. Newton is inexact on this path: PCG
-  solves each direction only to an Eisenstat-Walker forcing term eta_k =
-  0.9 (res_k/res_{k-1})^2, at most 0.1, and to 1e-10 once the residual is
-  within 1e3 times the step tolerance. This path is taken while
-  that bound is at most _PCG_COND_MAX = 1e4; beyond it (small tau mu_1^2:
-  tiny steps or large extents) CG's worst case per direction would pass its
-  iteration cap, and the step takes the other path.
-- exp, the p-variant, linear, and hyperbolic steps past that bound: the
-  w-update is eliminated through the second equation and the n x n Schur
-  matrix left for the u-update is factored afresh each iteration.
+  max f'. K and (-Laplacian)^+ are multiplies in the DCT-I basis, where
+  -Laplacian is diagonal on every grid (spectral.apply, one cached
+  cosine-matrix product per axis of up to 257 nodes); B^-1 of the
+  direction's two outer data takes the constant mode in closed form and
+  the rest through one LU factor made once per grid and tau'
+  (_helmholtz_inverse), and no matrix is factored per iteration. Newton is
+  inexact on this path: PCG solves each direction only to an
+  Eisenstat-Walker forcing term eta_k = 0.9 (res_k/res_{k-1})^2, at most
+  0.1, and to 1e-10 once the residual is within 1e3 times the step
+  tolerance.
+- exp (f' = e^w has no floor) and the p-variant (nonlinear second
+  equation): the w-update is eliminated through the second equation and
+  the n x n Schur matrix left for the u-update is factored afresh each
+  iteration.
 
 Every sparse factorization goes through elliptic.lu_factor: SuperLU's
 minimum-degree ordering on A + A^T (MMD_AT_PLUS_A) in symmetric mode,
@@ -133,7 +133,7 @@ class SchemeParams:
 @dataclass
 class StepDiagnostics:
     """What a step's solver did. cg_iters holds the PCG iterations of each
-    Newton direction on the hyperbolic path and is empty on the LU path."""
+    Newton direction on the PCG path and is empty on the LU path."""
 
     picard_iters: int
     newton_used: bool
@@ -171,11 +171,27 @@ class Trajectory:
 
 
 @lru_cache(maxsize=16)
-def _helmholtz_factor(grid: Grid, tau_reg: float):
-    """LU of B = -Laplacian + tau' I, made once per grid and tau'. The sinh
-    Newton direction applies B^-1 through it to its two outer data (g and
-    du), and so does the fixed-point map's u-solve."""
-    return lu_factor(helmholtz_matrix(grid, tau_reg))
+def _helmholtz_inverse(grid: Grid, tau_reg: float):
+    """x -> B^-1 x for B = -Laplacian + tau' I, made once per grid and tau'.
+
+    B maps constants to tau' times themselves and quadrature-mean-zero
+    fields to mean-zero fields, so B^-1 x = mean(x)/tau' + P LU^-1 (x - mean(x)),
+    P the removal of the mean. The constant mode, whose condition in B is
+    about lambda_max/tau', takes the closed form; the LU factor of B serves
+    the rest, and P drops the constant its rounding leaves there. The PCG
+    Newton direction applies it to its two outer data (g and du), and so
+    does the fixed-point map's u-solve.
+    """
+    factor = lu_factor(helmholtz_matrix(grid, tau_reg))
+    q = grid.quad_weights()
+    q = q / q.sum()
+
+    def solve(x):
+        mean = q @ x
+        y = factor.solve(x - mean)
+        return y + (mean / tau_reg - q @ y)
+
+    return solve
 
 
 _PICARD_MAX_ITER = 200
@@ -224,7 +240,7 @@ def _solve_exponent_problem(
     change of ROADMAP item 2.
     """
     if variant.p is None:
-        return _helmholtz_factor(grid, tau_reg).solve(phi)
+        return _helmholtz_inverse(grid, tau_reg)(phi)
     # p-Laplacian: small Newton loop, tridiagonal Jacobian
     u = guess.copy()
     n = grid.num_nodes
@@ -372,34 +388,21 @@ def fixed_point_step(
 # last residual, so a slow descent is told apart from a divergence.
 _NEWTON_MAX_ITER = 60
 
-# PCG of the hyperbolic Newton direction stops when its preconditioned
-# residual norm has fallen by a relative tolerance, at least _CG_RTOL, with
-# respect to the whole direction (_pcg). Since K + diag(f') >= diag(f'), the
-# full solve bounds the relative energy-norm error of the direction by
-# sqrt(cond) * _CG_RTOL, with cond at most _pcg_condition_bound (about 11
-# at tau = 1e-3 on the unit box, 4-9 iterations per direction to
-# _CG_RTOL). Where that bound exceeds _PCG_COND_MAX, the
-# direction takes the factored Schur path. Measured with the DCT-I applied
-# by dense per-axis products (sinh runs of 10 steps from a cosine start, one
-# BLAS thread, best of 3 on a shared 2-vCPU VM; Schur against PCG), PCG is
-# the faster path at every bound tried:
-#   bound  8300 (tau 1e-4 on 3 x 3), amplitude 0.02: 0.084 against 0.028 s
-#     on 33^2, 0.370 against 0.063 s on 65^2;
-#   the same at amplitude 0.1: 0.149 against 0.045 s (33^2), 0.694 against
-#     0.106 s (65^2);
-#   bound  1030 (tau 1e-5 on the unit box), 65^2, amplitude 0.1: 1.075
-#     against 0.173 s;
-#   bound 16600 (tau 5e-5 on 3 x 3), 65^2, amplitude 0.1: 0.663 against
-#     0.125 s.
-# PCG takes more Newton iterations there (21 against 10 over the 10 steps at
-# amplitude 0.02, and up to 99 CG iterations per direction), and its final u
-# agrees with the Schur path's within 5.3e-14. The threshold is set where
-# CG's worst case to _CG_RTOL, (sqrt(cond)/2) ln(2 sqrt(cond)/_CG_RTOL),
-# about 1420 iterations at 1e4, stays below the cap, so the cap is a guard
-# that a converging direction does not reach.
+# PCG of the Newton direction stops when its preconditioned residual norm
+# has fallen by a relative tolerance, at least _CG_RTOL, with respect to the
+# whole direction (_pcg). Since K + diag(f') >= diag(f'), the full solve
+# bounds the relative energy-norm error of the direction by
+# sqrt(cond) * _CG_RTOL, with cond at most 1 + 1/(tau mu_1^2) + tau'/mu_1
+# (about 11 at tau = 1e-3 on the unit box, 4-9 iterations per direction to
+# _CG_RTOL). That bound grows as tau mu_1^2 shrinks, at tiny steps or on
+# large extents, and the iterations with it. Over the 4115 directions of 480
+# sinh and scaled_sinh (K = 2) runs of 3 steps (1-D 33, 65 and 257 nodes,
+# 2-D 17^2 to 65^2, 3-D 9^3 and 17^3; extents 1, 3 and 10; tau 1e-3 to 1e-7;
+# cosine amplitude 0.01 and 0.1; bounds from 11 to 1.1e9), the most one
+# direction took was 1574 (2-D 65^2 on a 10 x 10 box at tau = 1e-7). The cap
+# is a guard that no converging direction reached there.
 _CG_RTOL = 1e-10
 _CG_MAX_ITER = 2000
-_PCG_COND_MAX = 1e4
 
 # Inexact Newton (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996, choice
 # 2; Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
@@ -412,15 +415,6 @@ _PCG_COND_MAX = 1e4
 _EW_GAMMA = 0.9
 _ETA_MAX = 0.1
 _FULL_SOLVE_FACTOR = 1e3
-
-
-def _pcg_condition_bound(grid: Grid, tau: float, tau_reg: float) -> float:
-    """1 + 1/(tau mu_1^2) + tau'/mu_1: the bound on the Jacobi-preconditioned
-    condition number of the hyperbolic direction's system, with mu_1 the
-    smallest nonzero eigenvalue of the discrete Neumann -Laplacian, taken
-    from spectral.eigenvalues."""
-    mu_1 = spectral.eigenvalues(grid).ravel()[1:].min()
-    return 1.0 + 1.0 / (tau * mu_1**2) + tau_reg / mu_1
 
 
 def _lu_direction(lap, eye, block_uu, tau: float, tau_reg: float, df_w, r1, r2):
@@ -479,12 +473,12 @@ def _pcg_direction(
     mean; it is self-adjoint and positive definite in the quadrature inner
     product. K and (-Laplacian)^+ are multiplies in the DCT-I basis, by
     kappa(lambda) = (1/(tau (lambda + tau')) + tau')/lambda and 1/lambda (0
-    on the constant mode); B^-1 of g and du goes through _helmholtz_factor.
+    on the constant mode); B^-1 of g and du goes through _helmholtz_inverse.
     Returns du, dw and the number of PCG iterations; a direction whose
     arithmetic overflows or is not finite raises SolverFailure.
     """
     q = grid.quad_weights()
-    b_solve = _helmholtz_factor(grid, tau_reg).solve
+    b_solve = _helmholtz_inverse(grid, tau_reg)
     lam = spectral.eigenvalues(grid)
     pinv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
     kappa = (1.0 / (tau * (lam + tau_reg)) + tau_reg) * pinv
@@ -552,15 +546,14 @@ def newton_step(
     With residuals r1, r2 of the two equations, the Jacobian has the blocks
     [[I/tau, A], [B, -I]], where A = -Laplacian diag(f'(w)) + tau' I and
     B = -Laplacian + tau' I (minus the p-Laplacian's Jacobian, plus tau' I,
-    rebuilt every iteration for the p-variant). Each direction is found on
-    one of two paths:
+    rebuilt every iteration for the p-variant). The variant alone picks
+    the path of every direction, whatever tau, h or box:
 
-    - Hyperbolic variants with a linear B (sinh and scaled_sinh,
-      f' >= 1), while the bound below is at most _PCG_COND_MAX:
-      _pcg_direction eliminates du and solves for dw. The mean of dw has a
-      closed form; its mean-zero part comes from Jacobi PCG on
-      K + P diag(f'(w)), applying K in the DCT-I basis and B^-1 through
-      one LU factor made once per grid and tau'. Because f' >= 1, the
+    - Variants with f' >= 1 (Variant.df_at_least_one) and a linear B:
+      sinh, scaled_sinh and linear. _pcg_direction eliminates du and
+      solves for dw. The mean of dw has a closed form; its mean-zero part
+      comes from Jacobi PCG on K + P diag(f'(w)), applying K in the DCT-I
+      basis and B^-1 through _helmholtz_inverse. Because f' >= 1, the
       preconditioned condition number is at most
       1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue
       of -Laplacian) whatever h or max f', so the PCG iterations per
@@ -569,12 +562,10 @@ def newton_step(
       choice 2, gamma 0.9, eta_0 = eta_max = 0.1), and to _CG_RTOL once
       the residual is within _FULL_SOLVE_FACTOR = 1e3 of picard_tol,
       where a looser direction stagnates against round-off.
-    - exp, the p-variant, linear, and hyperbolic steps whose bound exceeds
-      _PCG_COND_MAX (small tau mu_1^2: tiny steps or large extents):
-      _lu_direction factors the Schur matrix I/tau + A B of the u-update
-      afresh each iteration with lu_factor (MMD_AT_PLUS_A ordering in
-      symmetric mode, diagonal pivot threshold 1e-3). B is assembled once
-      per step.
+    - exp and the p-variant: _lu_direction factors the Schur matrix
+      I/tau + A B of the u-update afresh each iteration with lu_factor
+      (MMD_AT_PLUS_A ordering in symmetric mode, diagonal pivot threshold
+      1e-3). B is assembled once per step.
 
     Acceptance does not depend on the path: the step ends when both
     stencil residuals are at most picard_tol. A PCG direction whose
@@ -585,11 +576,7 @@ def newton_step(
     tau, tau_reg, cap = params.tau, params.reg_weight, params.sinh_arg_cap
     tol = params.picard_tol
     n = grid.num_nodes
-    pcg_path = (
-        variant.hyperbolic
-        and variant.p is None
-        and _pcg_condition_bound(grid, tau, tau_reg) <= _PCG_COND_MAX
-    )
+    pcg_path = variant.df_at_least_one and variant.p is None
     if not pcg_path:
         lap = laplacian_matrix(grid)
         eye = sp.identity(n, format="csr")

@@ -37,17 +37,11 @@ class TestSpectralHelper:
         assert np.abs(np.sort(lam.ravel()) - eigs).max() <= 1e-12 * eigs.max()
 
     def test_helmholtz_inverse_matches_factor(self, grid):
-        """1/(lambda + tau') applies B^-1 as the cached LU does, at tau' a
-        thousandth of the largest eigenvalue. At smaller tau' the rounding of
-        the assembled diagonal moves the LU's constant mode, which the
-        closed-form eigenvalues do not share: by up to 2e-11 relative at
-        2048 + 0.01 on 1-D 33, and by 1.1e-12 at tau' = 1 on 301 x 5, whose
-        diagonal is about 45000."""
+        """1/(lambda + tau') applies B^-1 as stepper._helmholtz_inverse does,
+        at tau' a thousandth of the largest eigenvalue; the run path's tau'
+        is checked below."""
         tau_reg = 1e-3 * spectral.eigenvalues(grid).max()
-        x = np.random.default_rng(8).standard_normal(grid.num_nodes)
-        ref = stepper._helmholtz_factor(grid, tau_reg).solve(x)
-        out = spectral.apply(grid, 1.0 / (spectral.eigenvalues(grid) + tau_reg), x)
-        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        _check_helmholtz_inverse(grid, tau_reg)
 
     def test_apply_matches_scipy_dctn(self, grid):
         """apply is an unnormalised DCT-I along every axis, a multiply and the
@@ -72,6 +66,26 @@ class TestSpectralHelper:
         for n in short:
             m = spectral._dct1_matrix(n)
             assert np.abs(m @ m - 2 * (n - 1) * np.eye(n)).max() <= 1e-13 * n
+
+
+def _check_helmholtz_inverse(grid, tau_reg):
+    x = np.random.default_rng(8).standard_normal(grid.num_nodes)
+    ref = spectral.apply(grid, 1.0 / (spectral.eigenvalues(grid) + tau_reg), x)
+    out = stepper._helmholtz_inverse(grid, tau_reg)(x)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "grid, tau_reg",
+    [(Grid(2, (1.0, 1.0), (65, 65)), 1e-3), (Grid(1, (1.0,), (65,)), 1e-7)],
+    ids=["2d-65-tau-1e-3", "1d-65-tau-1e-7"],
+)
+def test_helmholtz_inverse_at_run_path_tau(grid, tau_reg):
+    """At the tau' of runs (1e-3 on solve2d-65's 65 x 65, 1e-7 on 1-D 65)
+    the constant mode of B has condition lambda_max/tau', 3.3e7 and 1.6e11.
+    A plain LU solve of B is off by 1.3e-9 and 7.6e-6 relative there;
+    _helmholtz_inverse takes that mode in closed form and meets 1e-12."""
+    _check_helmholtz_inverse(grid, tau_reg)
 
 
 class TestPseudoInverse:

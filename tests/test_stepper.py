@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from crystalflow import elliptic, stepper
+from crystalflow import elliptic, spectral, stepper
 from crystalflow.config import _random_smooth, build_initial_field, parse_config
 from crystalflow.elliptic import helmholtz_matrix, lu_factor
 from crystalflow.exceptions import ArgumentError, OverflowCapError, SolverFailure, StepFailure
@@ -300,7 +300,7 @@ class TestNewtonStep:
         params = SchemeParams(tau=1e-3, horizon=0.005)
         v = Field.from_function(grid, lambda x, y: 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
         w = init_w0(v, params)
-        stepper._helmholtz_factor.cache_clear()
+        stepper._helmholtz_inverse.cache_clear()
         factored = []
 
         def counting_factor(mat):
@@ -433,28 +433,31 @@ def _pcg_residual_ratio(apply, b, d, m, grid, x):
 
 
 class TestPCGDirection:
-    """The sinh Newton direction from Jacobi PCG, with K applied in the DCT-I
-    basis and B^-1 through its cached factor."""
+    """The Newton direction of every f' >= 1 variant from Jacobi PCG, with K
+    applied in the DCT-I basis and B^-1 through _helmholtz_inverse."""
 
     @pytest.mark.parametrize(
-        "grid, variant, reg_eps, profile",
+        "grid, variant, tau, reg_eps, profile",
         [
-            (Grid(1, (1.0,), (65,)), sinh_variant(), None, "cosine 0.5"),
-            (Grid(2, (1.0, 1.0), (33, 33)), sinh_variant(), None, "cosine 0.5"),
-            (Grid(2, (1.3, 0.7), (21, 13)), sinh_variant(), 0.01, "random 0.5"),
-            (Grid(1, (1.0,), (65,)), make_variant("scaled_sinh", K=2.0), None, "cosine 0.3"),
+            (Grid(1, (1.0,), (65,)), sinh_variant(), 1e-3, None, "cosine 0.5"),
+            (Grid(2, (1.0, 1.0), (33, 33)), sinh_variant(), 1e-3, None, "cosine 0.5"),
+            (Grid(2, (1.3, 0.7), (21, 13)), sinh_variant(), 1e-3, 0.01, "random 0.5"),
+            (Grid(1, (1.0,), (65,)), make_variant("scaled_sinh", K=2.0), 1e-3, None, "cosine 0.3"),
+            (Grid(2, (3.0, 3.0), (17, 17)), sinh_variant(), 5e-5, None, "cosine 0.1"),
         ],
-        ids=["1d-65", "2d-33", "2d-21x13", "scaled-sinh-K2"],
+        ids=["1d-65", "2d-33", "2d-21x13", "scaled-sinh-K2", "2d-17-on-3x3-tau-5e-5"],
     )
-    def test_matches_lu_direction(self, grid, variant, reg_eps, profile, monkeypatch):
+    def test_matches_lu_direction(self, grid, variant, tau, reg_eps, profile, monkeypatch):
         """At every state step 1's Newton visits, the PCG direction solved to
         _CG_RTOL is the direction of the factored Schur matrix to 1e-8
         relative in du and dw. Newton itself solves most of these directions
         only to its forcing term, so each state is solved again here. States
         whose residual is within 100 times the step tolerance are left out:
         their directions are of the size of the fields' round-off (du about
-        2e-16 on 2-D 33), where a relative comparison measures nothing."""
-        params = SchemeParams(tau=1e-3, horizon=1e-3, reg_eps=reg_eps)
+        2e-16 on 2-D 33), where a relative comparison measures nothing. The
+        17 x 17 state on a 3 x 3 box at tau = 5e-5 has the condition bound
+        1 + 1/(tau mu_1^2) + tau'/mu_1 of about 16700."""
+        params = SchemeParams(tau=tau, horizon=tau, reg_eps=reg_eps)
         v = _profile(grid, profile)
         pcg_direction = stepper._pcg_direction
         states = []
@@ -582,45 +585,45 @@ class TestPCGDirection:
             assert np.abs(v.values - 2.0 / (1 + 0.5**3) ** k).max() <= 1e-9
 
     @pytest.mark.parametrize(
-        "grid, tau, reg_eps",
+        "grid, reg_eps",
         [
-            (Grid(1, (1.0,), (33,)), 1e-3, None),
-            (Grid(2, (1.0, 2.0), (9, 17)), 1e-4, None),
-            (Grid(2, (3.0, 3.0), (17, 17)), 1e-4, 0.01),
+            (Grid(2, (1.0, 1.0), (17, 17)), None),
+            (Grid(1, (1.0,), (65,)), None),
+            (Grid(2, (1.3, 0.7), (21, 13)), 0.01),
+            (Grid(3, (1.0, 1.0, 1.0), (9, 9, 9)), None),
         ],
-        ids=["1d-33", "2d-9x17-on-1x2", "2d-17-on-3x3-decoupled"],
+        ids=["2d-17", "1d-65", "2d-21x13-decoupled", "3d-9"],
     )
-    def test_condition_bound_from_spectrum(self, grid, tau, reg_eps):
-        """The closed-form mu_1 of the bound is the smallest nonzero
-        eigenvalue of the assembled -Laplacian."""
-        params = SchemeParams(tau=tau, horizon=tau, reg_eps=reg_eps)
-        eigs = np.sort(np.linalg.eigvals(-laplacian_matrix(grid).toarray()).real)
-        mu_1 = eigs[1]
-        expected = 1 + 1 / (tau * mu_1**2) + params.reg_weight / mu_1
-        bound = stepper._pcg_condition_bound(grid, tau, params.reg_weight)
-        assert abs(bound - expected) <= 1e-9 * expected
+    def test_linear_step_maps_each_mode(self, grid, reg_eps):
+        """With f(w) = w the step is linear: u + tau B^2 u = v, so it maps
+        DCT-I mode k by 1/(1 + tau (lambda_k + tau')^2). Three steps on the
+        PCG path follow that closed form to 1e-12 relative; the step
+        tolerance allows about tau picard_tol = 1e-13 per step."""
+        params = SchemeParams(tau=1e-3, horizon=3e-3, reg_eps=reg_eps)
+        traj = run(_profile(grid, "random 0.5"), params, make_variant("linear"))
+        lam = spectral.eigenvalues(grid)
+        multiplier = 1.0 / (1.0 + params.tau * (lam + params.reg_weight) ** 2)
+        u = traj.records[0].u.values
+        for rec in traj.records[1:]:
+            u = spectral.apply(grid, multiplier, u)
+            assert rec.cg_iters > 0
+            assert np.abs(rec.u.values - u).max() <= 1e-12 * np.abs(u).max()
 
-    def test_small_tau_mu1_takes_lu_path(self, monkeypatch):
-        """On 17 x 17 over 3 x 3 at tau = 5e-5 the bound is about 16700, past
-        _PCG_COND_MAX: the sinh step factors its Schur matrices and runs no
-        CG, and its result agrees with the PCG path's to the step
-        tolerance."""
-        grid = Grid(2, (3.0, 3.0), (17, 17))
-        params = SchemeParams(tau=5e-5, horizon=5e-5)
-        assert stepper._pcg_condition_bound(grid, params.tau, params.reg_weight) > 16000
-        v = Field.from_function(
-            grid, lambda x, y: 0.1 * np.cos(np.pi * x / 3) * np.cos(np.pi * y / 3)
-        )
-        guess = (v, init_w0(v, params))
-        u_lu, w_lu, diag = newton_step(v, params, guess)
-        assert diag.cg_iters == []
-        assert len(diag.residual_history) > 1
-        monkeypatch.setattr(stepper, "_PCG_COND_MAX", np.inf)
-        u_cg, w_cg, diag_cg = newton_step(v, params, guess)
-        assert len(diag_cg.cg_iters) > 0
-        tol = 10 * params.picard_tol
-        assert np.abs(u_lu.values - u_cg.values).max() <= tol
-        assert np.abs(w_lu.values - w_cg.values).max() <= tol
+    @pytest.mark.parametrize("nodes", [65, 129, 257])
+    def test_small_tau_steps_take_pcg(self, nodes):
+        """At tau = 1e-7 on 1-D grids the condition bound
+        1 + 1/(tau mu_1^2) + tau'/mu_1 is about 1e5: every step still takes
+        the PCG path and reaches the step tolerance. With B^-1 applied by a
+        plain LU solve, whose constant mode has condition lambda_max/tau',
+        Newton stagnated here at step 1 with residuals of 4.2e-9 to 5.3e-8."""
+        grid = Grid(1, (1.0,), (nodes,))
+        params = SchemeParams(tau=1e-7, horizon=3e-7)
+        v = _profile(grid, "cosine 0.01")
+        w = init_w0(v, params)
+        for _ in range(params.num_steps):
+            v, w, diag = newton_step(v, params, (v, w))
+            assert len(diag.cg_iters) == len(diag.residual_history) - 1 > 0
+            assert diag.residual_inf <= params.picard_tol
 
     def test_bump_that_factor_rejected_completes(self):
         """1-D 65 bump, amplitude 0.05 (max|w0| = 46.5): the factored Schur
