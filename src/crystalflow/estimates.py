@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .grid import FLOAT_FMT, Field, grad_sq_integral, laplacian_matrix
+from .grid import FLOAT_FMT, _grad_sq, laplacian_matrix
 from .stepper import Trajectory
 
 __all__ = [
@@ -139,13 +139,13 @@ def _functionals(traj: Trajectory) -> _Functionals:
         u, w = rec.u.values, rec.w.values
         fw = f(w)
         out.M[k] = l2sq(u)
-        out.G[k] = grad_sq_integral(rec.u)
+        out.G[k] = _grad_sq(grid, u)
         out.C[k] = float(qw @ F(w))
-        out.S[k] = grad_sq_integral(Field(grid, fw))
+        out.S[k] = _grad_sq(grid, fw)
         out.W[k] = float(qw @ (w * fw))
         out.E[k] = float(qw @ (w * fw - F(w) + F0))
         out.wsq[k] = l2sq(w)
-        out.gradw[k] = grad_sq_integral(rec.w)
+        out.gradw[k] = _grad_sq(grid, w)
         out.lap_u_sq[k] = l2sq(lap @ u)
         out.lap_f_sq[k] = l2sq(lap @ fw)
         if k > 0:
@@ -154,7 +154,7 @@ def _functionals(traj: Trajectory) -> _Functionals:
             dw = (w - prev.w.values) / tau
             out.du_sq[k] = l2sq(du)
             out.dw_sq[k] = l2sq(dw)
-            out.grad_du[k] = grad_sq_integral(Field(grid, du))
+            out.grad_du[k] = _grad_sq(grid, du)
     # the k = 0 rate is the one the scheme's startup choice defines:
     # du_0 = Lap f(w_0) - r w_0, so the first difference equation closes
     w0 = traj.records[0].w.values
@@ -322,7 +322,7 @@ def continuum_monitors(traj: Trajectory) -> MonitorSeries:
     for k, rec in enumerate(traj.records):
         w = rec.w.values
         mass[k] = qw @ rec.u.values
-        dirichlet[k] = grad_sq_integral(rec.u)
+        dirichlet[k] = _grad_sq(grid, rec.u.values)
         energy[k] = qw @ F(w)
         w_sup[k] = np.abs(w).max()
         if k > 0:

@@ -83,11 +83,11 @@ class Grid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.nodes))
+        return math.prod(self.nodes)
 
     @property
     def measure(self) -> float:
-        return float(np.prod(self.extents))
+        return math.prod(self.extents)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.linspace(0.0, self.extents[axis], self.nodes[axis])
@@ -133,14 +133,16 @@ class Field:
         return f"Field(grid={self.grid.nodes}, |values|_inf={np.abs(self.values).max():.3g})"
 
 
-def _axis_weights(grid: Grid) -> list[np.ndarray]:
-    """Trapezoid weights along each axis; their outer product is quad_weights()."""
+@lru_cache(maxsize=32)
+def _axis_weights(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Trapezoid weights along each axis, read-only; their outer product is quad_weights()."""
     per_axis = []
     for h, n in zip(grid.spacing, grid.nodes):
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
+        w.flags.writeable = False
         per_axis.append(w)
-    return per_axis
+    return tuple(per_axis)
 
 
 @lru_cache(maxsize=32)
@@ -207,9 +209,13 @@ def grad_sq_integral(f: Field) -> float:
     up to round-off, so the discrete integration-by-parts identities used by
     the energy estimates telescope without consistency error.
     """
-    grid = f.grid
+    return _grad_sq(f.grid, f.values)
+
+
+def _grad_sq(grid: Grid, values: np.ndarray) -> float:
+    """grad_sq_integral of the flat nodal values on grid, with no Field made."""
     weights = _axis_weights(grid)
-    v = f.shaped()
+    v = values.reshape(grid.nodes)
     total = 0.0
     for axis, h in enumerate(grid.spacing):
         d = np.diff(v, axis=axis)

@@ -52,11 +52,14 @@ def eigenvalues(grid: Grid) -> np.ndarray:
     return lam
 
 
-def apply(grid: Grid, multiplier: np.ndarray, x: np.ndarray) -> np.ndarray:
+def apply(grid: Grid, multiplier: np.ndarray, x: np.ndarray, *more: np.ndarray) -> np.ndarray:
     """phi(-Laplacian) x for the flat field x, where multiplier holds phi at
-    eigenvalues(grid)."""
+    eigenvalues(grid). Further (multiplier, field) pairs in more add their
+    terms in the DCT-I basis, so the sum takes one inverse transform."""
     scale = math.prod(2 * (n - 1) for n in grid.nodes)
     y = _dct1(x.reshape(grid.nodes)) * multiplier
+    for phi, field in zip(more[::2], more[1::2]):
+        y += _dct1(field.reshape(grid.nodes)) * phi
     return _dct1(y).reshape(-1) / scale
 
 

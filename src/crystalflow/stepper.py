@@ -24,11 +24,11 @@ path, whatever tau, h or box.
   preconditioning bounds its condition number by
   1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue of
   -Laplacian), about 11 at tau = 1e-3 on the unit box, whatever h or
-  max f'. K and (-Laplacian)^+ are multiplies in the DCT-I basis, where
-  -Laplacian is diagonal on every grid (spectral.apply, one cached
-  cosine-matrix product per axis of up to 257 nodes); B^-1 of the
-  direction's two outer data takes the constant mode in closed form and
-  the rest through one LU factor made once per grid and tau'
+  max f'. K, (-Laplacian)^+ and the B^-1 in the system's data are
+  multiplies in the DCT-I basis, where -Laplacian is diagonal on every grid
+  (spectral.apply, one cached cosine-matrix product per axis of up to 257
+  nodes). B^-1 of du alone takes the constant mode in closed form and the
+  rest through one LU factor made once per grid and tau'
   (_helmholtz_inverse), and no matrix is factored per iteration. Newton is
   inexact on this path: PCG solves each direction only to an
   Eisenstat-Walker forcing term eta_k = 0.9 (res_k/res_{k-1})^2, at most
@@ -179,12 +179,11 @@ def _helmholtz_inverse(grid: Grid, tau_reg: float):
     P the removal of the mean. The constant mode, whose condition in B is
     about lambda_max/tau', takes the closed form; the LU factor of B serves
     the rest, and P drops the constant its rounding leaves there. The PCG
-    Newton direction applies it to its two outer data (g and du), and so
-    does the fixed-point map's u-solve.
+    Newton direction applies it to du alone, once per direction, and so does
+    the fixed-point map's u-solve.
     """
     factor = lu_factor(helmholtz_matrix(grid, tau_reg))
-    q = grid.quad_weights()
-    q = q / q.sum()
+    q = _mean_weights(grid)
 
     def solve(x):
         mean = q @ x
@@ -430,9 +429,29 @@ def _lu_direction(lap, eye, block_uu, tau: float, tau_reg: float, df_w, r1, r2):
     return du, dw
 
 
+@lru_cache(maxsize=16)
+def _mean_weights(grid: Grid) -> np.ndarray:
+    """Quadrature weights over their sum, read-only: q @ x is the mean of x."""
+    q = grid.quad_weights() / grid.quad_weights().sum()
+    q.setflags(write=False)
+    return q
+
+
 def _remove_mean(grid: Grid, x: np.ndarray) -> np.ndarray:
-    q = grid.quad_weights()
-    return x - (q @ x) / q.sum()
+    return x - _mean_weights(grid) @ x
+
+
+@lru_cache(maxsize=16)
+def _direction_multipliers(grid: Grid, tau: float, tau_reg: float):
+    """The read-only DCT-I multipliers of _pcg_direction: -1/lambda and
+    1/(tau lambda (lambda + tau')), which take r1 and r2 to (-Laplacian)^+ g,
+    and kappa, each 0 on the constant mode."""
+    lam = spectral.eigenvalues(grid)
+    pinv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
+    b_inv = 1.0 / (tau * (lam + tau_reg))
+    out = np.stack((-pinv, b_inv * pinv, (b_inv + tau_reg) * pinv))
+    out.setflags(write=False)
+    return out
 
 
 def _forcing_term(history: list, eta_prev: float, tol: float) -> float:
@@ -471,17 +490,20 @@ def _pcg_direction(
     (K + P diag(f')) z = (-Laplacian)^+ g - m P f'
     with K = (-Laplacian)^+ (B^-1/tau + tau' I) and P the removal of the
     mean; it is self-adjoint and positive definite in the quadrature inner
-    product. K and (-Laplacian)^+ are multiplies in the DCT-I basis, by
-    kappa(lambda) = (1/(tau (lambda + tau')) + tau')/lambda and 1/lambda (0
-    on the constant mode); B^-1 of g and du goes through _helmholtz_inverse.
+    product. K is a multiply in the DCT-I basis by
+    kappa(lambda) = (1/(tau (lambda + tau')) + tau')/lambda (0 on the
+    constant mode), and so is B^-1, by 1/(lambda + tau'): g is never formed.
+    (-Laplacian)^+ g is one inverse transform of the r1 and r2 terms, and
+    mean(g) = mean(r2)/(tau tau') - mean(r1), as B^-1 maps constants to 1/tau'
+    times themselves. Only du goes through _helmholtz_inverse.
     Returns du, dw and the number of PCG iterations; a direction whose
     arithmetic overflows or is not finite raises SolverFailure.
     """
-    q = grid.quad_weights()
+    # made before the transforms' arrays, so SuperLU's factor lies below them
+    # in the heap: made after them, it raised solve2d-65's peak RSS by 0.8 MB
     b_solve = _helmholtz_inverse(grid, tau_reg)
-    lam = spectral.eigenvalues(grid)
-    pinv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
-    kappa = (1.0 / (tau * (lam + tau_reg)) + tau_reg) * pinv
+    q = _mean_weights(grid)
+    neg_pinv, pinv_b, kappa = _direction_multipliers(grid, tau, tau_reg)
     d = variant.df(w)
 
     def apply(z):
@@ -489,9 +511,8 @@ def _pcg_direction(
 
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            g = -r1 + b_solve(r2) / tau
-            m = (q @ g) / q.sum() / (1.0 / (tau_reg * tau) + tau_reg)
-            b = spectral.apply(grid, pinv, g) - m * _remove_mean(grid, d)
+            m = (q @ r2 - tau * tau_reg * (q @ r1)) / (1.0 + tau * tau_reg**2)
+            b = spectral.apply(grid, neg_pinv, r1, pinv_b, r2) - m * _remove_mean(grid, d)
             z, iters = _pcg(apply, b, d, m, grid, rtol)
             dw = m + z
             du = b_solve(dw - r2)
@@ -553,7 +574,7 @@ def newton_step(
       sinh, scaled_sinh and linear. _pcg_direction eliminates du and
       solves for dw. The mean of dw has a closed form; its mean-zero part
       comes from Jacobi PCG on K + P diag(f'(w)), applying K in the DCT-I
-      basis and B^-1 through _helmholtz_inverse. Because f' >= 1, the
+      basis and B^-1 of du through _helmholtz_inverse. Because f' >= 1, the
       preconditioned condition number is at most
       1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue
       of -Laplacian) whatever h or max f', so the PCG iterations per

@@ -304,11 +304,11 @@ class TestCompare:
             "t,w_sup_sinh,energy_sinh,w_sup_exp,energy_exp,w_sup_linear,energy_linear\n"
             "0,9.7439198385552981,590.51583305720874,9.7439198385552981,590.5158330572084,"
             "9.7439198385552981,11.867996727523931\n"
-            "0.001,3.3489405073772258,5.8276554770230922,16.77823901267594,5.2989182229896805,"
+            "0.001,3.3489405073772258,5.8276554770230931,16.77823901267594,5.2989182229896805,"
             "7.0619583019839185,6.2339068823699444\n"
-            "0.002,2.1895854840249895,2.2148500213250815,22.058827822534305,3.1881644433127008,"
-            "5.1181922558133293,3.2744864959334379\n"
-            "0.0030000000000000001,1.569025904887164,1.4707331454193022,38.539611055958588,"
+            "0.002,2.1895854840249895,2.2148500213250819,22.058827822534305,3.1881644433127008,"
+            "5.1181922558133293,3.2744864959334374\n"
+            "0.0030000000000000001,1.5690259048871638,1.4707331454193022,38.539611055958588,"
             "2.4769440454970435,3.7094373610374212,1.719990691932531\n"
         )
 

@@ -56,6 +56,16 @@ class TestSpectralHelper:
         out = spectral.apply(grid, multiplier, x)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_apply_sums_pairs_in_one_transform(self, grid):
+        """Further (multiplier, field) pairs add their terms: the sum equals
+        the separate applies to 1e-13 relative."""
+        rng = np.random.default_rng(6)
+        m1, m2 = rng.standard_normal((2, *grid.nodes))
+        x1, x2 = rng.standard_normal((2, grid.num_nodes))
+        ref = spectral.apply(grid, m1, x1) + spectral.apply(grid, m2, x2)
+        out = spectral.apply(grid, m1, x1, m2, x2)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_cosine_matrix_squares_to_scale(self, grid):
         """Each axis of at most _DENSE_MAX_NODES nodes caches one matrix, whose
         square is 2(N - 1) I; a longer axis caches none."""

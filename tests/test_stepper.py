@@ -434,7 +434,8 @@ def _pcg_residual_ratio(apply, b, d, m, grid, x):
 
 class TestPCGDirection:
     """The Newton direction of every f' >= 1 variant from Jacobi PCG, with K
-    applied in the DCT-I basis and B^-1 through _helmholtz_inverse."""
+    and the B^-1 in its data applied in the DCT-I basis and the B^-1 of du
+    through _helmholtz_inverse."""
 
     @pytest.mark.parametrize(
         "grid, variant, tau, reg_eps, profile",
@@ -444,8 +445,10 @@ class TestPCGDirection:
             (Grid(2, (1.3, 0.7), (21, 13)), sinh_variant(), 1e-3, 0.01, "random 0.5"),
             (Grid(1, (1.0,), (65,)), make_variant("scaled_sinh", K=2.0), 1e-3, None, "cosine 0.3"),
             (Grid(2, (3.0, 3.0), (17, 17)), sinh_variant(), 5e-5, None, "cosine 0.1"),
+            (Grid(1, (1.0,), (65,)), sinh_variant(), 1e-3, 1e-7, "cosine 0.5"),
         ],
-        ids=["1d-65", "2d-33", "2d-21x13", "scaled-sinh-K2", "2d-17-on-3x3-tau-5e-5"],
+        ids=["1d-65", "2d-33", "2d-21x13", "scaled-sinh-K2", "2d-17-on-3x3-tau-5e-5",
+             "1d-65-reg-1e-7"],
     )
     def test_matches_lu_direction(self, grid, variant, tau, reg_eps, profile, monkeypatch):
         """At every state step 1's Newton visits, the PCG direction solved to
@@ -483,6 +486,77 @@ class TestPCGDirection:
             assert np.abs(dw - dw_lu).max() <= 1e-8 * np.abs(dw_lu).max()
             compared += 1
         assert compared >= 4
+
+    @pytest.mark.parametrize(
+        "grid, tau, reg_eps",
+        [
+            (Grid(1, (1.0,), (65,)), 1e-7, None),
+            (Grid(2, (1.3, 0.7), (21, 13)), 1e-3, 0.01),
+            (Grid(3, (1.0, 1.0, 1.0), (9, 9, 9)), 1e-3, None),
+            (Grid(2, (2.0, 0.5), (301, 5)), 1e-3, 1.0),
+        ],
+        ids=["1d-65-tau-1e-7", "2d-21x13-decoupled", "3d-9", "2d-301x5"],
+    )
+    def test_folded_rhs_matches_helmholtz_inverse(self, grid, tau, reg_eps, monkeypatch):
+        """The direction's data, (-Laplacian)^+ g and the mean m of dw, are
+        built from r1 and r2 without forming g = -r1 + B^-1 r2/tau. Both
+        match the explicit form through _helmholtz_inverse to 1e-12
+        relative. The explicit (-Laplacian)^+ g takes B^-1 of the mean-zero
+        part of r2, which gives the same field, since B^-1 maps constants to
+        constants and (-Laplacian)^+ drops them: with the constant left in,
+        g's constant mean(r2)/(tau tau') is lambda_1/tau' times the rest
+        (about 1e8 on 1-D 65 at tau' = 1e-7) and its rounding leaks into the
+        other modes. On 301 x 5 the LU solve of B itself is off by about 1e-12 at
+        tau' = 1e-3 (condition about 3.6e4 on the mean-zero fields), so that
+        grid is checked at tau' = 1. The linear variant has f' = 1, whose
+        mean-zero part is round-off, so the data PCG receives is
+        (-Laplacian)^+ g itself."""
+        params = SchemeParams(tau=tau, horizon=tau, reg_eps=reg_eps)
+        tau_reg = params.reg_weight
+        r1, r2 = np.random.default_rng(4).standard_normal((2, grid.num_nodes))
+        seen = {}
+        pcg = stepper._pcg
+
+        def recording(apply, b, d, m, *args):
+            seen.update(b=b, d=d, m=m)
+            return pcg(apply, b, d, m, *args)
+
+        monkeypatch.setattr(stepper, "_pcg", recording)
+        stepper._pcg_direction(
+            grid, tau, tau_reg, make_variant("linear"), np.zeros(grid.num_nodes), r1, r2, 1e-10
+        )
+        folded = seen["b"] + seen["m"] * stepper._remove_mean(grid, seen["d"])
+
+        b_solve = stepper._helmholtz_inverse(grid, tau_reg)
+        lam = spectral.eigenvalues(grid)
+        pinv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
+        explicit = spectral.apply(grid, pinv, -r1 + b_solve(stepper._remove_mean(grid, r2)) / tau)
+        q = grid.quad_weights()
+        m = (q @ (-r1 + b_solve(r2) / tau)) / q.sum() / (1.0 / (tau * tau_reg) + tau_reg)
+        assert np.abs(folded - explicit).max() <= 1e-12 * np.abs(explicit).max()
+        assert abs(seen["m"] - m) <= 1e-12 * abs(m)
+
+    def test_one_helmholtz_solve_per_direction(self, monkeypatch):
+        """Each PCG direction applies B^-1 once, to dw - r2 for du: g's
+        B^-1 r2 is folded into the DCT-I multiply."""
+        helmholtz_inverse = stepper._helmholtz_inverse
+        calls = []
+
+        def counting(grid, tau_reg):
+            solve = helmholtz_inverse(grid, tau_reg)
+
+            def counted(x):
+                calls.append(x)
+                return solve(x)
+
+            return counted
+
+        monkeypatch.setattr(stepper, "_helmholtz_inverse", counting)
+        grid = Grid(2, (1.0, 1.0), (17, 17))
+        params = SchemeParams(tau=1e-3, horizon=1e-3, reg_eps=1e-4)
+        v = _profile(grid, "cosine 0.5")
+        _, _, diag = newton_step(v, params, (v, init_w0(v, params)))
+        assert len(calls) == len(diag.cg_iters) == len(diag.residual_history) - 1 > 0
 
     @pytest.mark.parametrize(
         "grid, profile",
