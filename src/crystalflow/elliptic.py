@@ -4,12 +4,12 @@ The step's elliptic sub-problems are the operators assembled here.
 helmholtz_matrix is B = -Laplacian + tau' I, the block block_uu of the
 step's Newton Jacobian; the stepper assembles it and factors it once per
 grid and tau'. The PCG Newton direction of every variant with f' >= 1
-(sinh, scaled_sinh, linear) applies B^-1 to its two outer data through
-that factor, with B's constant mode taken in closed form
-(stepper._helmholtz_inverse); the functions of -Laplacian inside its CG
-are applied in the DCT-I basis by spectral.apply, as cached per-axis
-cosine matrix products. exp and the p-variant factor their Schur matrix
-on every Newton iteration instead. weighted_helmholtz_matrix is
+(sinh, scaled_sinh, linear) applies B^-1 through that factor to du only,
+with B's constant mode taken in closed form (stepper._helmholtz_inverse);
+the functions of -Laplacian in its data and inside its CG are applied in
+the DCT-I basis by spectral.apply, as cached per-axis cosine matrix
+products. exp and the p-variant factor their Schur matrix on every Newton
+iteration instead. weighted_helmholtz_matrix is
 -div(c grad .) + tau' I, the operator of the fixed-point map, with the
 arithmetic means of the weight on the edges; all come from
 grid.divergence_matrix, so at unit weight the Helmholtz pair agree entry for

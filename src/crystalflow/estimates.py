@@ -137,13 +137,13 @@ def _functionals(traj: Trajectory) -> _Functionals:
     out = _Functionals(tau=tau, r=r, **series)
     for k, rec in enumerate(traj.records):
         u, w = rec.u.values, rec.w.values
-        fw = f(w)
+        fw, Fw = f(w), F(w)
         out.M[k] = l2sq(u)
         out.G[k] = _grad_sq(grid, u)
-        out.C[k] = float(qw @ F(w))
+        out.C[k] = float(qw @ Fw)
         out.S[k] = _grad_sq(grid, fw)
         out.W[k] = float(qw @ (w * fw))
-        out.E[k] = float(qw @ (w * fw - F(w) + F0))
+        out.E[k] = float(qw @ (w * fw - Fw + F0))
         out.wsq[k] = l2sq(w)
         out.gradw[k] = _grad_sq(grid, w)
         out.lap_u_sq[k] = l2sq(lap @ u)

@@ -17,7 +17,8 @@ class InvalidExponentError(CrystalflowError):
 
 
 class SolverFailure(CrystalflowError):
-    """SuperLU could not factor a step's sparse system (elliptic.lu_factor)."""
+    """A step's linear solve failed: SuperLU rejected a factor
+    (elliptic.lu_factor) or a PCG Newton direction was not finite."""
 
 
 class StepFailure(CrystalflowError):

@@ -30,9 +30,9 @@ from .estimates import (
     write_reports_csv,
     write_terms_csv,
 )
-from .exceptions import ArgumentError, CrystalflowError, StepFailure
+from .exceptions import ArgumentError, CrystalflowError
 from .grid import FLOAT_FMT, load_field, save_field
-from .stepper import StepRecord, Trajectory, _at_step, _step_residual, init_w0, run
+from .stepper import StepRecord, Trajectory, check_scheme, run
 
 __all__ = [
     "ExperimentResult",
@@ -133,33 +133,15 @@ def _applicable_reports(cfg: ExperimentConfig, traj: Trajectory) -> list[Estimat
     return standard_reports(traj, cfg.output.reports)
 
 
-def _check_scheme(traj: Trajectory) -> None:
-    """Raise, labelled by stepper._at_step as run labels it, the first stored step
-    off the scheme: w_0 must be init_w0(u_0) bit for bit, and every step k must
-    meet picard_tol by newton_step's residual, recomputed from u_{k-1}, u_k, w_k."""
-    params, variant = traj.params, traj.variant
-    u0, w0 = traj.records[0].u, traj.records[0].w
-    with _at_step(0):
-        if not np.array_equal(w0.values, init_w0(u0, params, variant).values):
-            raise StepFailure("stored w_0 is not the exponent field of u_0")
-    for prev, rec in zip(traj.records, traj.records[1:]):
-        with _at_step(rec.k):
-            res = _step_residual(traj.grid, params.tau, params.reg_weight, prev.u.values,
-                                 rec.u.values, rec.w.values, variant, params.sinh_arg_cap)
-            if res > params.picard_tol:
-                raise StepFailure(f"stored fields leave residual {res:.3e} above "
-                                  f"picard_tol = {params.picard_tol:.3e}", res)
-
-
 def verify_run(directory) -> list[EstimateReport]:
-    """Re-check a finished run's steps (_check_scheme) and recompute its
-    reports from its config.txt and snapshots.
+    """Re-check a finished run's steps (stepper.check_scheme) and recompute
+    its reports from its config.txt and snapshots.
 
     The run must keep every step (snapshot_stride = 1); the reports are the
     ones run_experiment wrote to reports.csv, computed the same way.
     """
     cfg, traj = _reload_run(Path(directory))
-    _check_scheme(traj)
+    check_scheme(traj)
     return _applicable_reports(cfg, traj)
 
 

@@ -73,8 +73,9 @@ class Variant:
 
     @property
     def hyperbolic(self) -> bool:
-        """True when f is odd with f' >= 1, i.e. the structure the discrete
-        energy estimates require: every sinh(K s)/K variant."""
+        """True for the variants whose f is sinh(K s)/K (sinh, scaled_sinh,
+        p_exponent), the ones that get energy reports. It is False for exp
+        and for linear, although linear is odd with f' >= 1."""
         return self.name not in ("exp", "linear")
 
     @property

@@ -12,7 +12,9 @@ convergence studies).
 Each step is one Newton solve of the coupled residual with a halving line
 search, started from the previous step's pair (u, w). Only the linear solve
 for each Newton direction depends on the variant, and each variant has one
-path, whatever tau, h or box.
+path, whatever tau, h or box. A step is accepted by one rule, in run and
+in verify's re-check (check_scheme) alike: the _residual_norm of its two
+stencil residuals is at most picard_tol.
 
 - sinh, scaled_sinh and linear (f' >= 1, linear second equation): the
   u-update is eliminated through u = B^-1 w, B = -Laplacian + tau' I, and
@@ -31,9 +33,7 @@ path, whatever tau, h or box.
   rest through one LU factor made once per grid and tau'
   (_helmholtz_inverse), and no matrix is factored per iteration. Newton is
   inexact on this path: PCG solves each direction only to an
-  Eisenstat-Walker forcing term eta_k = 0.9 (res_k/res_{k-1})^2, at most
-  0.1, and to 1e-10 once the residual is within 1e3 times the step
-  tolerance.
+  Eisenstat-Walker forcing term (_forcing_term).
 - exp (f' = e^w has no floor) and the p-variant (nonlinear second
   equation): the w-update is eliminated through the second equation and
   the n x n Schur matrix left for the u-update is factored afresh each
@@ -71,6 +71,7 @@ __all__ = [
     "StepRecord",
     "Trajectory",
     "init_w0",
+    "check_scheme",
     "newton_step",
     "run",
 ]
@@ -285,6 +286,12 @@ def _stencil_residuals(
     return r1, r2
 
 
+def _residual_norm(r1: np.ndarray, r2: np.ndarray) -> float:
+    """The step's residual norm, the larger sup-norm of the two stencil
+    residuals: a step is accepted when it is at most picard_tol."""
+    return float(max(np.abs(r1).max(), np.abs(r2).max()))
+
+
 def _step_residual(
     grid: Grid,
     tau: float,
@@ -295,9 +302,8 @@ def _step_residual(
     variant: Variant,
     cap: float,
 ) -> float:
-    """Sup-norm of both stencil residuals."""
-    r1, r2 = _stencil_residuals(grid, tau, tau_reg, v, u, w, variant, cap)
-    return float(max(np.abs(r1).max(), np.abs(r2).max()))
+    """_residual_norm of the stencil residuals at (u, w), stepping from v."""
+    return _residual_norm(*_stencil_residuals(grid, tau, tau_reg, v, u, w, variant, cap))
 
 
 def init_w0(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Field:
@@ -416,13 +422,23 @@ _ETA_MAX = 0.1
 _FULL_SOLVE_FACTOR = 1e3
 
 
-def _lu_direction(lap, eye, block_uu, tau: float, tau_reg: float, df_w, r1, r2):
+@lru_cache(maxsize=16)
+def _lu_operators(grid: Grid, tau_reg: float):
+    """The identity and B = -Laplacian + tau' I, made once per grid and tau'."""
+    return sp.identity(grid.num_nodes, format="csr"), helmholtz_matrix(grid, tau_reg)
+
+
+def _lu_direction(grid: Grid, tau: float, tau_reg: float, variant: Variant, u, w, r1, r2):
     """Newton direction from the factored Schur matrix of the u-update.
 
     The w-row of the Jacobian gives dw = B du + r2, which leaves the n x n
     system (I/tau + A B) du = -r1 - A r2, A = -Laplacian diag(f'(w)) + tau' I.
+    u is read only by the p-variant, whose B is rebuilt at u each iteration.
     """
-    block_uw = -lap @ sp.diags(df_w) + tau_reg * eye
+    eye, block_uu = _lu_operators(grid, tau_reg)
+    if variant.p is not None:
+        block_uu = -p_laplacian_jacobian_1d(Field(grid, u), variant.p) + tau_reg * eye
+    block_uw = -laplacian_matrix(grid) @ sp.diags(variant.df(w)) + tau_reg * eye
     schur = eye / tau + block_uw @ block_uu
     du = lu_factor(schur).solve(-r1 - block_uw @ r2)
     dw = block_uu @ du + r2
@@ -454,15 +470,13 @@ def _direction_multipliers(grid: Grid, tau: float, tau_reg: float):
     return out
 
 
-def _forcing_term(history: list, eta_prev: float, tol: float) -> float:
+def _forcing_term(history: list, tol: float) -> float:
     """Relative PCG tolerance of the next Newton direction, given the
-    residual history (the current residual last) and the previous one.
-
-    Eisenstat-Walker choice 2: eta_0 = _ETA_MAX, then
-    eta_k = gamma (res_k/res_{k-1})^2, raised to gamma eta_{k-1}^2 where that
-    exceeds 0.1 (a safeguard that binds only for _ETA_MAX above 1/3), and
-    clipped to [_CG_RTOL, _ETA_MAX]. Once res_k <= _FULL_SOLVE_FACTOR tol it
-    is _CG_RTOL.
+    residual history (the current residual last): Eisenstat-Walker choice 2,
+    eta_0 = _ETA_MAX, then eta_k = gamma (res_k/res_{k-1})^2 clipped to
+    [_CG_RTOL, _ETA_MAX], and _CG_RTOL once res_k <= _FULL_SOLVE_FACTOR tol.
+    Their safeguard max(eta_k, gamma eta_{k-1}^2) is left out: it applies
+    only where gamma eta_{k-1}^2 > 0.1, never with eta_{k-1} <= 0.1.
     """
     res = history[-1]
     if res <= _FULL_SOLVE_FACTOR * tol:
@@ -470,9 +484,6 @@ def _forcing_term(history: list, eta_prev: float, tol: float) -> float:
     if len(history) == 1:
         return _ETA_MAX
     eta = _EW_GAMMA * (res / history[-2]) ** 2
-    safeguard = _EW_GAMMA * eta_prev**2
-    if safeguard > 0.1:
-        eta = max(eta, safeguard)
     return min(max(eta, _CG_RTOL), _ETA_MAX)
 
 
@@ -572,96 +583,74 @@ def newton_step(
 
     - Variants with f' >= 1 (Variant.df_at_least_one) and a linear B:
       sinh, scaled_sinh and linear. _pcg_direction eliminates du and
-      solves for dw. The mean of dw has a closed form; its mean-zero part
-      comes from Jacobi PCG on K + P diag(f'(w)), applying K in the DCT-I
-      basis and B^-1 of du through _helmholtz_inverse. Because f' >= 1, the
-      preconditioned condition number is at most
-      1 + 1/(tau mu_1^2) + tau'/mu_1 (mu_1 the smallest nonzero eigenvalue
-      of -Laplacian) whatever h or max f', so the PCG iterations per
-      direction do not grow with the grid. Each direction is solved only
-      to the relative tolerance eta_k of _forcing_term (Eisenstat-Walker
-      choice 2, gamma 0.9, eta_0 = eta_max = 0.1), and to _CG_RTOL once
-      the residual is within _FULL_SOLVE_FACTOR = 1e3 of picard_tol,
-      where a looser direction stagnates against round-off.
-    - exp and the p-variant: _lu_direction factors the Schur matrix
-      I/tau + A B of the u-update afresh each iteration with lu_factor
-      (MMD_AT_PLUS_A ordering in symmetric mode, diagonal pivot threshold
-      1e-3). B is assembled once per step.
+      solves for dw by Jacobi PCG, whose iterations per direction do not
+      grow with the grid (the condition bound of the module docstring).
+      Each direction is solved only to the forcing term of _forcing_term,
+      and to _CG_RTOL once the residual is within _FULL_SOLVE_FACTOR of
+      picard_tol, where a looser direction stagnates against round-off.
+    - exp and the p-variant: _lu_direction assembles B and factors the
+      Schur matrix I/tau + A B of the u-update afresh each iteration.
 
-    Acceptance does not depend on the path: the step ends when both
-    stencil residuals are at most picard_tol. A PCG direction whose
-    arithmetic overflows raises SolverFailure.
+    Whatever the path, the step ends once _residual_norm is at most
+    picard_tol; every trial's residuals check w against the cap first. A
+    PCG direction whose arithmetic overflows raises SolverFailure.
     """
     variant = variant or sinh_variant()
     grid = v.grid
     tau, tau_reg, cap = params.tau, params.reg_weight, params.sinh_arg_cap
     tol = params.picard_tol
-    n = grid.num_nodes
     pcg_path = variant.df_at_least_one and variant.p is None
-    if not pcg_path:
-        lap = laplacian_matrix(grid)
-        eye = sp.identity(n, format="csr")
-        if variant.p is None:
-            block_uu = helmholtz_matrix(grid, tau_reg)
+
+    def residuals(u, w):
+        return _stencil_residuals(grid, tau, tau_reg, v.values, u, w, variant, cap)
 
     u = guess[0].values.copy()
     w = guess[1].values.copy()
-
-    def residual_vec(uu, ww):
-        r1, r2 = _stencil_residuals(grid, tau, tau_reg, v.values, uu, ww, variant, cap)
-        return np.concatenate([r1, r2])
-
-    r = residual_vec(u, w)
-    res = np.abs(r).max()
-    history = [float(res)]
+    r1, r2 = residuals(u, w)
+    res = _residual_norm(r1, r2)
+    history = [res]
     cg_iters = []
-    eta = _ETA_MAX
 
     for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
             break
         if pcg_path:
-            eta = _forcing_term(history, eta, tol)
-            du, dw, its = _pcg_direction(grid, tau, tau_reg, variant, w, r[:n], r[n:], eta)
+            eta = _forcing_term(history, tol)
+            du, dw, its = _pcg_direction(grid, tau, tau_reg, variant, w, r1, r2, eta)
             cg_iters.append(its)
         else:
-            if variant.p is not None:
-                block_uu = -p_laplacian_jacobian_1d(Field(grid, u), variant.p) + tau_reg * eye
-            du, dw = _lu_direction(lap, eye, block_uu, tau, tau_reg, variant.df(w), r[:n], r[n:])
+            du, dw = _lu_direction(grid, tau, tau_reg, variant, u, w, r1, r2)
         lam = 1.0
         while lam >= 1e-8:
             u_try = u + lam * du
             w_try = w + lam * dw
             try:
-                r_try = residual_vec(u_try, w_try)
+                r_try = residuals(u_try, w_try)
             except OverflowCapError:
                 lam /= 2
                 continue
-            res_try = np.abs(r_try).max()
+            res_try = _residual_norm(*r_try)
             if res_try < res:
-                u, w, r, res = u_try, w_try, r_try, res_try
+                u, w, (r1, r2), res = u_try, w_try, r_try, res_try
                 break
             lam /= 2
         else:
             raise StepFailure(
                 f"Newton line search stagnated: residual {res:.3e}, "
                 f"smallest step tried {2 * lam:.1e}",
-                residual=float(res),
+                residual=res,
                 residual_history=history,
             )
-        history.append(float(res))
+        history.append(res)
 
     if res > tol:
         raise StepFailure(
             f"Newton did not reach tolerance: residual {res:.3e} after the "
             f"{_NEWTON_MAX_ITER}-iteration limit (first residual {history[0]:.3e})",
-            residual=float(res),
+            residual=res,
             residual_history=history,
         )
-
-    # the converged w must genuinely respect the cap, not just the trials
-    variant.check_cap(w, cap)
-    diag = StepDiagnostics(0, True, float(res), history, cg_iters)
+    diag = StepDiagnostics(0, True, res, history, cg_iters)
     return Field(grid, u), Field(grid, w), diag
 
 
@@ -705,3 +694,28 @@ def run(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Traj
                        sum(diag.cg_iters))
         )
     return Trajectory(params=params, grid=grid, variant=variant, records=records)
+
+
+def check_scheme(traj: Trajectory) -> list[float]:
+    """Re-check a stored trajectory against the scheme, as verify does.
+
+    w_0 must be init_w0(u_0) bit for bit, and each step k must pass
+    newton_step's acceptance, recomputed from u_{k-1}, u_k and w_k; the
+    first step off the scheme raises, labelled by _at_step(k) as in run.
+    Returns the recomputed norms of steps 1..K, which on a run's own
+    records are their residual_inf bit for bit.
+    """
+    params, variant, first = traj.params, traj.variant, traj.records[0]
+    with _at_step(0):
+        if not np.array_equal(first.w.values, init_w0(first.u, params, variant).values):
+            raise StepFailure("stored w_0 is not the exponent field of u_0")
+    residuals = []
+    for prev, rec in zip(traj.records, traj.records[1:]):
+        with _at_step(rec.k):
+            res = _step_residual(traj.grid, params.tau, params.reg_weight, prev.u.values,
+                                 rec.u.values, rec.w.values, variant, params.sinh_arg_cap)
+            if res > params.picard_tol:
+                raise StepFailure(f"stored fields leave residual {res:.3e} above "
+                                  f"picard_tol = {params.picard_tol:.3e}", res)
+        residuals.append(res)
+    return residuals

@@ -9,7 +9,7 @@ import pytest
 
 from crystalflow import estimates, stepper
 from crystalflow.config import build_initial_field, parse_config
-from crystalflow.experiment import compare_variants, run_experiment, sweep
+from crystalflow.experiment import _reload_run, compare_variants, run_experiment, sweep
 from crystalflow.nonlinearity import make_variant
 
 BASE = """
@@ -245,6 +245,35 @@ class TestRunExperiment:
         assert result.ok
         assert [rep.name for rep in result.reports] == ["p_variant_energy"]
         assert result.reports[0].passed
+
+
+class TestStepRecheck:
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            {"dim = 1\nnodes = 65": "dim = 2\nnodes = 17,17"},
+            {"[output]": "[variant]\nkind = scaled_sinh\nK = 2\n\n[output]"},
+            {"[output]": "[variant]\nkind = linear\n\n[output]"},
+            {"[output]": "[variant]\nkind = exp\n\n[output]"},
+            {"nodes = 65": "nodes = 33",
+             "[output]": "[variant]\nkind = p_exponent\np = 3\n\n[output]"},
+        ],
+        ids=["sinh-2d", "scaled-sinh-K2", "linear", "exp", "p3"],
+    )
+    def test_recorded_residual_is_the_recheck(self, replacements, tmp_path):
+        """Each step's residual_inf is, bit for bit, the norm that
+        stepper.check_scheme recomputes from the stored snapshots, and
+        trajectory.csv's residual_inf column parses to the same floats."""
+        stride = {"directory = demo": "directory = demo\nsnapshot_stride = 1"}
+        cfg = make_cfg(**replacements, **stride)
+        result = run_experiment(cfg, tmp_path)
+        assert result.ok
+        recorded = [rec.residual_inf for rec in result.trajectory.records[1:]]
+        assert all(res > 0 for res in recorded)
+        _, reloaded = _reload_run(result.directory)
+        assert stepper.check_scheme(reloaded) == recorded
+        rows = trajectory_rows(result.directory)[1:]
+        assert [float(row["residual_inf"]) for row in rows] == recorded
 
 
 class TestSweep:
