@@ -76,6 +76,9 @@ __all__ = [
     "run",
 ]
 
+# ln of the largest double: sinh, cosh and exp overflow beyond it
+_MAX_EXP_ARG = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -86,7 +89,8 @@ class SchemeParams:
     the regularization weight in both zero-order terms; a positive reg_eps
     decouples them so the timestep can be refined at fixed regularization.
     picard_tol bounds the sup-norm of both stencil residuals of an accepted
-    step.
+    step. sinh_arg_cap is at most ln(max double), about 709.78, where sinh,
+    cosh and exp overflow.
     """
 
     tau: float
@@ -118,8 +122,10 @@ class SchemeParams:
             raise ValueError(f"reg_eps must be positive when given, got {self.reg_eps}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.sinh_arg_cap <= 0:
-            raise ValueError(f"sinh_arg_cap must be positive, got {self.sinh_arg_cap}")
+        if not 0 < self.sinh_arg_cap <= _MAX_EXP_ARG:
+            raise ValueError(
+                f"sinh_arg_cap must be in (0, {_MAX_EXP_ARG:.6g}], got {self.sinh_arg_cap}"
+            )
 
     @property
     def num_steps(self) -> int:

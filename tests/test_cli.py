@@ -1,11 +1,16 @@
 """Command-line interface behavior and exit codes."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crystalflow.cli import OUTPUT_ROOT_ENV, main
+from crystalflow.config import parse_config
 from crystalflow.exceptions import OverflowCapError
 from crystalflow.experiment import _applicable_reports, _reload_run, verify_run
 from crystalflow.grid import Field, Grid, load_field, save_field
@@ -36,25 +41,40 @@ def config_path(tmp_path):
     return str(path)
 
 
-# config edits giving values no run can use: each is one violation, not a
-# traceback from inside the run
+# config edits giving values no run can use, each with a word its violation
+# names: each is one violation, not a traceback from inside the run
 UNUSABLE_CASES = {
-    "zero-steps": {"tau = 0.01": "tau = 1e10", "horizon = 0.05": "horizon = 0.1\nreg_eps = 1"},
-    "tau-inf": {"tau = 0.01": "tau = inf"},
-    "reg_eps-inf": {"tau = 0.01": "tau = 0.01\nreg_eps = inf"},
-    "horizon-inf": {"horizon = 0.05": "horizon = inf"},
-    "cap-nan": {"tau = 0.01": "tau = 0.01\nsinh_arg_cap = nan"},
-    "extent-inf": {"nodes = 65": "nodes = 65\nextent = inf"},
-    "extent-nan": {"nodes = 65": "nodes = 65\nextent = nan"},
-    "extent-tiny": {"nodes = 65": "nodes = 33\nextent = 1e-300"},
-    "K-tiny": {"[output]": "[variant]\nkind = scaled_sinh\nK = 1e-200\n\n[output]"},
-    "amplitude-nan": {"amplitude = 0.1": "amplitude = nan"},
-    "c-inf": {"profile = cosine\namplitude = 0.1": "profile = constant\nc = inf"},
-    "random-amplitude-inf": {
-        "profile = cosine\namplitude = 0.1": "profile = random_smooth\namplitude = inf\nseed = 1"
-    },
-    "seed-negative": {"profile = cosine": "profile = random_smooth\nseed = -1"},
+    "zero-steps": (
+        "horizon",
+        {"tau = 0.01": "tau = 1e10", "horizon = 0.05": "horizon = 0.1\nreg_eps = 1"},
+    ),
+    "tau-inf": ("tau", {"tau = 0.01": "tau = inf"}),
+    "reg_eps-inf": ("reg_eps", {"tau = 0.01": "tau = 0.01\nreg_eps = inf"}),
+    "horizon-inf": ("horizon", {"horizon = 0.05": "horizon = inf"}),
+    "cap-nan": ("sinh_arg_cap", {"tau = 0.01": "tau = 0.01\nsinh_arg_cap = nan"}),
+    # above ln(max double) sinh, cosh and exp overflow before the cap can bind
+    "cap-over-overflow": ("sinh_arg_cap", {"tau = 0.01": "tau = 0.01\nsinh_arg_cap = 1000"}),
+    "extent-inf": ("extent", {"nodes = 65": "nodes = 65\nextent = inf"}),
+    "extent-nan": ("extent", {"nodes = 65": "nodes = 65\nextent = nan"}),
+    "extent-tiny": ("spacing", {"nodes = 65": "nodes = 33\nextent = 1e-300"}),
+    "K-tiny": ("linear", {"[output]": "[variant]\nkind = scaled_sinh\nK = 1e-200\n\n[output]"}),
+    "amplitude-nan": ("amplitude", {"amplitude = 0.1": "amplitude = nan"}),
+    "c-inf": ("'c'", {"profile = cosine\namplitude = 0.1": "profile = constant\nc = inf"}),
+    "random-amplitude-inf": (
+        "amplitude",
+        {"profile = cosine\namplitude = 0.1": "profile = random_smooth\namplitude = inf\nseed = 1"},
+    ),
+    "seed-negative": ("seed", {"profile = cosine": "profile = random_smooth\nseed = -1"}),
 }
+
+
+def _edited(edits):
+    """CONFIG with each old text replaced by its new one, in order."""
+    text = CONFIG
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    return text
 
 
 class TestRunCommand:
@@ -87,14 +107,13 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("case", UNUSABLE_CASES)
     def test_unusable_value_exit_2_before_any_run(self, case, tmp_path, capsys):
-        text = CONFIG
-        for old, new in UNUSABLE_CASES[case].items():
-            text = text.replace(old, new)
+        named, edits = UNUSABLE_CASES[case]
         cfg, root = tmp_path / "bad.cfg", tmp_path / "out"
-        cfg.write_text(text)
+        cfg.write_text(_edited(edits))
         assert main(["--output-root", str(root), "run", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "invalid configuration:" and len(err) == 2
+        assert named in err[1]
         assert not root.exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
@@ -110,32 +129,88 @@ def _assert_one_error_line(err, bad_value):
     assert bad_value in err
 
 
+_GRID = "dim = 1\nnodes = 65"
+_AMPLITUDE = "amplitude = 0.1"
+_SCHEME = "tau = 0.01\nhorizon = 0.05"
+_P3 = {"[output]": "[variant]\nkind = p_exponent\np = 3\n\n[output]"}
+
 # config edits giving run kinds whose reports differ: all three, a subset in
-# the configured order, the p-variant dissipation law, and none for exp
+# the configured order, the p-variant dissipation law, and none for exp;
+# then runs whose step solves differ: a non-square grid and box, whose DCT-I
+# transforms differ per axis; 2-D 65^2 at amplitude 0.5, whose step 1 ends
+# near the round-off floor of its inexact Newton directions; PCG condition
+# bounds of about 8400 (3 x 3 box, tau = 1e-4) and 1e5 (tau = 1e-7, where
+# B^-1 needs its constant mode in closed form); the one tau' that is not tau,
+# so that the multipliers and closed-form means holding both see distinct
+# values; 3-D at amplitude 0.5; and scaled_sinh
 VERIFY_CASES = {
     "default": {},
     "subset": {"snapshot_stride = 1": "snapshot_stride = 1\nreports = prop33,prop31"},
-    "p3": {"[output]": "[variant]\nkind = p_exponent\np = 3\n\n[output]"},
+    "p3": _P3,
     "exp": {"[output]": "[variant]\nkind = exp\n\n[output]"},
-    "3d": {"dim = 1\nnodes = 65": "dim = 3\nnodes = 9,9,9"},
+    "3d": {_GRID: "dim = 3\nnodes = 9,9,9"},
+    "p3-1d-33": {"nodes = 65": "nodes = 33", **_P3},
+    "2d-9": {
+        _GRID: "dim = 2\nnodes = 9,9",
+        _AMPLITUDE: "amplitude = 0.5",
+        _SCHEME: "tau = 0.001\nhorizon = 0.005",
+    },
+    "2d-17x9-box-2x1": {
+        _GRID: "dim = 2\nnodes = 17,9\nextent = 2,1",
+        _AMPLITUDE: "amplitude = 0.5",
+        _SCHEME: "tau = 0.001\nhorizon = 0.005",
+    },
+    "2d-65": {
+        _GRID: "dim = 2\nnodes = 65,65",
+        _AMPLITUDE: "amplitude = 0.5",
+        _SCHEME: "tau = 0.001\nhorizon = 0.003",
+    },
+    "2d-17-box-3x3-tau-1e-4": {
+        _GRID: "dim = 2\nnodes = 17,17\nextent = 3,3",
+        _SCHEME: "tau = 0.0001\nhorizon = 0.0005",
+    },
+    "1d-65-tau-1e-7": {_AMPLITUDE: "amplitude = 0.01", _SCHEME: "tau = 1e-7\nhorizon = 3e-7"},
+    "2d-17-reg_eps-1e-4": {
+        _GRID: "dim = 2\nnodes = 17,17",
+        _AMPLITUDE: "amplitude = 0.5",
+        _SCHEME: "tau = 0.004\nhorizon = 0.02\nreg_eps = 1e-4",
+    },
+    "3d-9-amplitude-0.5": {
+        _GRID: "dim = 3\nnodes = 9,9,9",
+        _AMPLITUDE: "amplitude = 0.5",
+        _SCHEME: "tau = 0.001\nhorizon = 0.003",
+    },
+    "scaled_sinh-K2-1d-33": {
+        "nodes = 65": "nodes = 33",
+        _AMPLITUDE: "amplitude = 0.5",
+        _SCHEME: "tau = 0.001\nhorizon = 0.01",
+        "[output]": "[variant]\nkind = scaled_sinh\nK = 2\n\n[output]",
+    },
 }
 
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("case", VERIFY_CASES)
     def test_verify_round_trip(self, case, tmp_path, capsys):
-        text = CONFIG
-        for old, new in VERIFY_CASES[case].items():
-            text = text.replace(old, new)
+        text = _edited(VERIFY_CASES[case])
         path = tmp_path / "exp.cfg"
         path.write_text(text)
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
+        run_dir = tmp_path / "demo"
+        assert (run_dir / "trajectory.csv").read_text().startswith("k,t,newton_iters,")
+        # the manifest's totals: Newton iterations on every run, PCG ones
+        # exactly on the f' >= 1 variants with a linear second equation (the
+        # others factor a Schur matrix)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        variant = parse_config(text).variant
+        assert manifest["newton_iterations"] > 0
+        assert (manifest["cg_iterations"] > 0) == (variant.df_at_least_one and variant.p is None)
         capsys.readouterr()
-        code = main(["verify", str(tmp_path / "demo")])
+        code = main(["verify", str(run_dir)])
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("name,lhs,rhs,margin,pass")
-        assert out == (tmp_path / "demo" / "reports.csv").read_text()
+        assert out == (run_dir / "reports.csv").read_text()
         if case in ("default", "3d"):
             assert out.count("true") == 3
 
@@ -311,13 +386,22 @@ class TestSweepCommand:
 
 class TestCompareCommand:
     def test_compare_variants(self, config_path, tmp_path, capsys):
-        code = main(
-            ["--output-root", str(tmp_path), "compare", config_path, "--variants", "sinh,exp"]
-        )
-        assert code == 0
+        """sinh, exp and linear side by side reach both Newton direction
+        solves (PCG for sinh and linear, the factored Schur matrix for exp);
+        verify re-checks the exp and linear runs and prints the header-only
+        reports.csv each wrote."""
+        args = ["compare", config_path, "--variants", "sinh,exp,linear"]
+        assert main(["--output-root", str(tmp_path), *args]) == 0
         assert (tmp_path / "variant_comparison.csv").exists()
         out = capsys.readouterr().out
-        assert "sinh: ok" in out and "exp: ok" in out
+        assert "sinh: ok" in out and "exp: ok" in out and "linear: ok" in out
+        for kind in ("sinh", "exp", "linear"):
+            manifest = json.loads((tmp_path / f"variant_{kind}" / "manifest.json").read_text())
+            assert manifest["status"] == "OK"
+        for kind in ("exp", "linear"):
+            run_dir = tmp_path / f"variant_{kind}"
+            assert main(["verify", str(run_dir)]) == 0
+            assert capsys.readouterr().out == (run_dir / "reports.csv").read_text()
 
     @pytest.mark.parametrize("bad_value", ["tanh", "scaled_sinh"])
     def test_bad_variant_exit_2_before_any_run(self, bad_value, config_path, tmp_path, capsys):
@@ -326,3 +410,34 @@ class TestCompareCommand:
         assert main(["--output-root", str(root), *args]) == 2
         _assert_one_error_line(capsys.readouterr().err, bad_value)
         assert not root.exists()
+
+
+def _module_cli(*args):
+    """`python -m crystalflow.cli` in a fresh interpreter on this checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop(OUTPUT_ROOT_ENV, None)
+    cmd = [sys.executable, "-m", "crystalflow.cli", *args]
+    return subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_run_verify_and_refusal(self, tmp_path):
+        """The module entry point exits with main's code: run then verify
+        prints reports.csv byte for byte, and a config no run can use exits 2
+        with its one violation, no traceback and no run directory."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(_edited(VERIFY_CASES["2d-9"]))
+        run = _module_cli("--output-root", str(tmp_path), "run", str(path))
+        assert run.returncode == 0, run.stderr
+        verify = _module_cli("verify", str(tmp_path / "demo"))
+        assert verify.returncode == 0, verify.stderr
+        assert verify.stdout == (tmp_path / "demo" / "reports.csv").read_bytes()
+
+        named, edits = UNUSABLE_CASES["tau-inf"]
+        path.write_text(_edited(edits))
+        refused = _module_cli("--output-root", str(tmp_path / "out"), "run", str(path))
+        assert refused.returncode == 2
+        err = refused.stderr.decode()
+        assert err.startswith("invalid configuration:\n") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()

@@ -61,6 +61,8 @@ class TestSchemeParams:
             {"tau": 0.1, "horizon": float("inf")},
             {"tau": 0.1, "horizon": 1.0, "sinh_arg_cap": float("nan")},
             {"tau": 0.1, "horizon": 1.0, "sinh_arg_cap": 0.0},
+            # above ln(max double) = 709.78 sinh, cosh and exp overflow
+            {"tau": 0.1, "horizon": 1.0, "sinh_arg_cap": 1000.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -791,6 +793,33 @@ class TestRun:
         for rec in traj.records[1:]:
             assert rec.newton_iters > 0
             assert rec.residual_inf <= params.picard_tol
+
+    @pytest.mark.parametrize(
+        "variant",
+        [sinh_variant(), make_variant("scaled_sinh", K=2.0), make_variant("exp")],
+        ids=["sinh", "scaled_sinh-K2", "exp"],
+    )
+    def test_late_decay_reaches_linear_factor(self, grid1d, variant):
+        """f'(0) = 1, so near its mean a run follows the linear scheme, which
+        maps the first DCT-I mode by 1/(1 + tau (lambda_1 + tau')^2) =
+        0.9112533005 per step here: a reference-free oracle for the whole
+        Newton path. With c_k the quadrature product of u_k minus its mean
+        and cos(pi x), c_150/c_149 is that factor to 1e-10 relative
+        (measured 5.4e-14, 6.8e-14 and 3.2e-13), and the deviation falls as
+        the squared mode: dev(100)/dev(50) over (c_100/c_50)^2 was measured
+        at 0.97, 0.97 and 1.00."""
+        params = SchemeParams(tau=1e-3, horizon=0.15)
+        traj = run(_profile(grid1d, "cosine 0.5"), params, variant)
+        assert traj.num_steps == 150
+        lam1 = spectral.eigenvalues(grid1d)[1]
+        factor = 1.0 / (1.0 + params.tau * (lam1 + params.reg_weight) ** 2)
+        mode = np.cos(np.pi * grid1d.axis_coords(0))
+        q = grid1d.quad_weights()
+        c = np.array([q @ ((rec.u.values - integrate(rec.u)) * mode) for rec in traj.records])
+        dev = np.abs(c[1:] / c[:-1] / factor - 1.0)  # dev[k - 1] is step k's
+
+        assert dev[149] <= 1e-10
+        assert 0.5 <= (dev[99] / dev[49]) / (c[100] / c[50]) ** 2 <= 2.0
 
     def test_step_failure_annotated_with_index(self, grid1d):
         params = SchemeParams(tau=0.01, horizon=0.1, sinh_arg_cap=700.0)
