@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from crystalflow.cli import OUTPUT_ROOT_ENV, main
-from crystalflow.config import parse_config
 from crystalflow.exceptions import OverflowCapError
 from crystalflow.experiment import _applicable_reports, _reload_run, verify_run
 from crystalflow.grid import Field, Grid, load_field, save_field
@@ -98,9 +97,7 @@ class TestRunCommand:
 
     def test_overflow_run_exit_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "boom.cfg"
-        cfg.write_text(
-            CONFIG.replace("amplitude = 0.1", "amplitude = 3\nmode = 8")
-        )
+        cfg.write_text(_edited({"amplitude = 0.1": "amplitude = 3\nmode = 8"}))
         code = main(["--output-root", str(tmp_path), "run", str(cfg)])
         assert code == 1
         assert "failed" in capsys.readouterr().err
@@ -187,24 +184,21 @@ VERIFY_CASES = {
         "[output]": "[variant]\nkind = scaled_sinh\nK = 2\n\n[output]",
     },
 }
+# the runs whose Newton directions factor a Schur matrix instead of using PCG
+LU_DIRECTION_CASES = {"p3", "exp", "p3-1d-33"}
 
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("case", VERIFY_CASES)
     def test_verify_round_trip(self, case, tmp_path, capsys):
-        text = _edited(VERIFY_CASES[case])
         path = tmp_path / "exp.cfg"
-        path.write_text(text)
+        path.write_text(_edited(VERIFY_CASES[case]))
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
         run_dir = tmp_path / "demo"
         assert (run_dir / "trajectory.csv").read_text().startswith("k,t,newton_iters,")
-        # the manifest's totals: Newton iterations on every run, PCG ones
-        # exactly on the f' >= 1 variants with a linear second equation (the
-        # others factor a Schur matrix)
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        variant = parse_config(text).variant
         assert manifest["newton_iterations"] > 0
-        assert (manifest["cg_iterations"] > 0) == (variant.df_at_least_one and variant.p is None)
+        assert (manifest["cg_iterations"] > 0) == (case not in LU_DIRECTION_CASES)
         capsys.readouterr()
         code = main(["verify", str(run_dir)])
         out = capsys.readouterr().out
@@ -217,11 +211,8 @@ class TestVerifyCommand:
     def test_verify_rejects_step_off_the_scheme(self, tmp_path, capsys):
         # 1e-6 cos(3 pi x) added to u_20 of a 50-step run leaves every report
         # passing but puts step 20's residual at 1e-3, far above picard_tol
-        text = CONFIG.replace("amplitude = 0.1", "amplitude = 0.5").replace(
-            "tau = 0.01", "tau = 0.001"
-        )
         path = tmp_path / "exp.cfg"
-        path.write_text(text)
+        path.write_text(_edited({_AMPLITUDE: "amplitude = 0.5", "tau = 0.01": "tau = 0.001"}))
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
         run_dir = tmp_path / "demo"
         snapshot = run_dir / "fields" / "u_000020.csv"
@@ -263,25 +254,24 @@ class TestVerifyCommand:
         assert str(exc.value).startswith("step 2: |argument| = ")
 
     def test_verify_reads_snapshots_on_the_run_grid(self, tmp_path, capsys):
-        # headers of u_1 and w_1 edited to extent 1.05 x 1 on a 9 x 9 run: the
-        # values alone would still pass every check, read on the header's grid
-        text = CONFIG.replace("dim = 1\nnodes = 65", "dim = 2\nnodes = 9,9")
-        text = text.replace("amplitude = 0.1", "amplitude = 0.5")
-        text = text.replace("tau = 0.01\nhorizon = 0.05", "tau = 0.001\nhorizon = 0.005")
+        # headers edited to extent 1.05 x 1 on a 9 x 9 run, first w_2's alone,
+        # then also u_1's and w_1's: the values alone would still pass every
+        # check, read on the header's grid; verify names the first it reads
         path = tmp_path / "exp.cfg"
-        path.write_text(text)
+        path.write_text(_edited(VERIFY_CASES["2d-9"]))
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
-        for name in ("u_000001.csv", "w_000001.csv"):
-            snapshot = tmp_path / "demo" / "fields" / name
-            header, values = snapshot.read_text().split("\n", 1)
-            assert header == "# grid: dim=2 nodes=9,9 extent=1,1"
-            snapshot.write_text("# grid: dim=2 nodes=9,9 extent=1.05,1\n" + values)
-        capsys.readouterr()
-        assert main(["verify", str(tmp_path / "demo")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "u_000001.csv" in captured.err
-        assert "Traceback" not in captured.err
+        for names in (("w_000002.csv",), ("u_000001.csv", "w_000001.csv")):
+            for name in names:
+                snapshot = tmp_path / "demo" / "fields" / name
+                header, values = snapshot.read_text().split("\n", 1)
+                assert header == "# grid: dim=2 nodes=9,9 extent=1,1"
+                snapshot.write_text("# grid: dim=2 nodes=9,9 extent=1.05,1\n" + values)
+            capsys.readouterr()
+            assert main(["verify", str(tmp_path / "demo")]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and names[0] in captured.err
+            assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("missing", ["fields/w_000001.csv", "config.txt"])
     def test_verify_names_missing_file(self, missing, config_path, tmp_path, capsys):
@@ -295,7 +285,7 @@ class TestVerifyCommand:
         # a scaled_sinh config.txt written while f = sinh(K s)/K was selected
         # by "normalized = true" still verifies
         path = tmp_path / "scaled.cfg"
-        path.write_text(CONFIG.replace("[output]", "[variant]\nkind = scaled_sinh\nK = 2\n\n[output]"))
+        path.write_text(_edited({"[output]": "[variant]\nkind = scaled_sinh\nK = 2\n\n[output]"}))
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
         config_txt = tmp_path / "demo" / "config.txt"
         text = config_txt.read_text()
@@ -326,9 +316,8 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == (tmp_path / "demo" / "reports.csv").read_text()
 
     def test_verify_names_first_missing_step(self, config_path, tmp_path, capsys):
-        sparse = CONFIG.replace("snapshot_stride = 1", "snapshot_stride = 2")
         path = tmp_path / "sparse.cfg"
-        path.write_text(sparse)
+        path.write_text(_edited({"snapshot_stride = 1": "snapshot_stride = 2"}))
         main(["--output-root", str(tmp_path), "run", str(path)])
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 1
@@ -336,9 +325,8 @@ class TestVerifyCommand:
         assert "u_000001.csv" in err and "snapshot_stride = 1" in err
 
     def test_verify_requires_snapshots(self, config_path, tmp_path, capsys):
-        no_snap = CONFIG.replace("snapshot_stride = 1", "snapshot_stride = 0")
         path = tmp_path / "nosnap.cfg"
-        path.write_text(no_snap)
+        path.write_text(_edited({"snapshot_stride = 1": "snapshot_stride = 0"}))
         main(["--output-root", str(tmp_path), "run", str(path)])
         code = main(["verify", str(tmp_path / "demo")])
         assert code == 1
@@ -385,12 +373,14 @@ class TestSweepCommand:
 
 
 class TestCompareCommand:
-    def test_compare_variants(self, config_path, tmp_path, capsys):
-        """sinh, exp and linear side by side reach both Newton direction
-        solves (PCG for sinh and linear, the factored Schur matrix for exp);
-        verify re-checks the exp and linear runs and prints the header-only
-        reports.csv each wrote."""
-        args = ["compare", config_path, "--variants", "sinh,exp,linear"]
+    def test_compare_variants(self, tmp_path, capsys):
+        """sinh, exp and linear side by side on 2-D 9^2 reach both Newton
+        direction solves (PCG for sinh and linear, the factored Schur matrix
+        for exp); verify re-checks the exp and linear runs and prints the
+        header-only reports.csv each wrote."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(_edited(VERIFY_CASES["2d-9"]))
+        args = ["compare", str(path), "--variants", "sinh,exp,linear"]
         assert main(["--output-root", str(tmp_path), *args]) == 0
         assert (tmp_path / "variant_comparison.csv").exists()
         out = capsys.readouterr().out
@@ -422,16 +412,19 @@ def _module_cli(*args):
 
 class TestModuleEntryPoint:
     def test_run_verify_and_refusal(self, tmp_path):
-        """The module entry point exits with main's code: run then verify
-        prints reports.csv byte for byte, and a config no run can use exits 2
+        """The module entry point exits with main's code: run then verify, on
+        a PCG and a Schur-factor run, prints reports.csv byte for byte in a
+        process that did not make it, and a config no run can use exits 2
         with its one violation, no traceback and no run directory."""
         path = tmp_path / "exp.cfg"
-        path.write_text(_edited(VERIFY_CASES["2d-9"]))
-        run = _module_cli("--output-root", str(tmp_path), "run", str(path))
-        assert run.returncode == 0, run.stderr
-        verify = _module_cli("verify", str(tmp_path / "demo"))
-        assert verify.returncode == 0, verify.stderr
-        assert verify.stdout == (tmp_path / "demo" / "reports.csv").read_bytes()
+        for case in ("2d-9", "p3-1d-33"):
+            root = tmp_path / case
+            path.write_text(_edited(VERIFY_CASES[case]))
+            run = _module_cli("--output-root", str(root), "run", str(path))
+            assert run.returncode == 0, run.stderr
+            verify = _module_cli("verify", str(root / "demo"))
+            assert verify.returncode == 0, verify.stderr
+            assert verify.stdout == (root / "demo" / "reports.csv").read_bytes()
 
         named, edits = UNUSABLE_CASES["tau-inf"]
         path.write_text(_edited(edits))
