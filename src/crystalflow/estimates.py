@@ -89,15 +89,6 @@ class EstimateReport:
         return self.margin >= -self.abs_tol
 
 
-def _require_hyperbolic(traj: Trajectory):
-    v = traj.variant
-    if not v.hyperbolic or v.p is not None:
-        raise InvalidInputError(
-            f"energy inequality verification requires an odd nonlinearity with "
-            f"f' >= 1 and the plain Laplacian exponent; got variant {v.name!r}"
-        )
-
-
 @dataclass
 class _Functionals:
     """Per-record quadrature functionals of one trajectory, k = 0..j."""
@@ -283,9 +274,14 @@ def standard_reports(traj: Trajectory, names=REPORT_NAMES) -> list[EstimateRepor
 
     The per-record functionals are computed once, in one pass over the
     records, and shared by every report. Raises InvalidInputError unless
-    the variant is odd with f' >= 1 and uses the plain Laplacian exponent.
+    the variant is odd with f' >= 1 and uses the plain Laplacian exponent
+    (Variant.coercive).
     """
-    _require_hyperbolic(traj)
+    if not traj.variant.coercive:
+        raise InvalidInputError(
+            f"energy inequality verification requires an odd nonlinearity with "
+            f"f' >= 1 and the plain Laplacian exponent; got variant {traj.variant.name!r}"
+        )
     fn = _functionals(traj)
     return [_REPORTS[name](fn) for name in names]
 

@@ -125,12 +125,11 @@ def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
 
 def _applicable_reports(cfg: ExperimentConfig, traj: Trajectory) -> list[EstimateReport]:
     """The reports a run of cfg gets; run_experiment and verify_run both ask here."""
-    variant = cfg.variant
-    if variant.p is not None:
+    if cfg.variant.coercive:
+        return standard_reports(traj, cfg.output.reports)
+    if cfg.variant.p is not None:
         return [p_variant_energy(traj)]
-    if not variant.hyperbolic:
-        return []
-    return standard_reports(traj, cfg.output.reports)
+    return []
 
 
 def verify_run(directory) -> list[EstimateReport]:

@@ -72,17 +72,13 @@ class Variant:
         return self.param if self.name == "scaled_sinh" else 1.0
 
     @property
-    def hyperbolic(self) -> bool:
-        """True for the variants whose f is sinh(K s)/K (sinh, scaled_sinh,
-        p_exponent), the ones that get energy reports. It is False for exp
-        and for linear, although linear is odd with f' >= 1."""
-        return self.name not in ("exp", "linear")
-
-    @property
-    def df_at_least_one(self) -> bool:
-        """True when f' >= 1 everywhere: every sinh(K s)/K variant and linear.
-        The Newton direction's PCG condition bound rests on it."""
-        return self.name != "exp"
+    def coercive(self) -> bool:
+        """True when f is odd with f' >= 1, so F is convex, and the exponent
+        is the plain -Laplacian u: sinh, scaled_sinh and linear. It picks
+        newton_step's PCG direction, whose condition bound rests on f' >= 1
+        and a linear second equation, and it admits the run to
+        standard_reports, whose three inequalities rest on all of it."""
+        return self.name in ("sinh", "scaled_sinh", "linear")
 
     # -- evaluation ----------------------------------------------------------
 

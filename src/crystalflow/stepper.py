@@ -16,10 +16,10 @@ path, whatever tau, h or box. A step is accepted by one rule, in run and
 in verify's re-check (check_scheme) alike: the _residual_norm of its two
 stencil residuals is at most picard_tol.
 
-- sinh, scaled_sinh and linear (f' >= 1, linear second equation): the
-  u-update is eliminated through u = B^-1 w, B = -Laplacian + tau' I, and
-  the w-update is split into its quadrature mean, which has a closed form,
-  and a mean-zero part. Symmetrized by the pseudo-inverse of -Laplacian, the
+- sinh, scaled_sinh and linear (Variant.coercive: f' >= 1, linear second
+  equation): the u-update is eliminated through u = B^-1 w with
+  B = -Laplacian + tau' I, and the w-update is split into its quadrature
+  mean, which has a closed form, and a mean-zero part. Symmetrized by the pseudo-inverse of -Laplacian, the
   system for the mean-zero part is K + P diag(f'(w)), self-adjoint and
   positive definite in the trapezoid inner product, with
   K = (-Laplacian)^+ (B^-1/tau + tau' I). Since f' >= 1, Jacobi
@@ -587,8 +587,8 @@ def newton_step(
     rebuilt every iteration for the p-variant). The variant alone picks
     the path of every direction, whatever tau, h or box:
 
-    - Variants with f' >= 1 (Variant.df_at_least_one) and a linear B:
-      sinh, scaled_sinh and linear. _pcg_direction eliminates du and
+    - Variants with f' >= 1 and a linear B (Variant.coercive): sinh,
+      scaled_sinh and linear. _pcg_direction eliminates du and
       solves for dw by Jacobi PCG, whose iterations per direction do not
       grow with the grid (the condition bound of the module docstring).
       Each direction is solved only to the forcing term of _forcing_term,
@@ -605,7 +605,6 @@ def newton_step(
     grid = v.grid
     tau, tau_reg, cap = params.tau, params.reg_weight, params.sinh_arg_cap
     tol = params.picard_tol
-    pcg_path = variant.df_at_least_one and variant.p is None
 
     def residuals(u, w):
         return _stencil_residuals(grid, tau, tau_reg, v.values, u, w, variant, cap)
@@ -620,7 +619,7 @@ def newton_step(
     for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
             break
-        if pcg_path:
+        if variant.coercive:
             eta = _forcing_term(history, tol)
             du, dw, its = _pcg_direction(grid, tau, tau_reg, variant, w, r1, r2, eta)
             cg_iters.append(its)

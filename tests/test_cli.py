@@ -139,7 +139,7 @@ _P3 = {"[output]": "[variant]\nkind = p_exponent\np = 3\n\n[output]"}
 # bounds of about 8400 (3 x 3 box, tau = 1e-4) and 1e5 (tau = 1e-7, where
 # B^-1 needs its constant mode in closed form); the one tau' that is not tau,
 # so that the multipliers and closed-form means holding both see distinct
-# values; 3-D at amplitude 0.5; and scaled_sinh
+# values; 3-D at amplitude 0.5; scaled_sinh; and linear, audited as sinh is
 VERIFY_CASES = {
     "default": {},
     "subset": {"snapshot_stride = 1": "snapshot_stride = 1\nreports = prop33,prop31"},
@@ -183,6 +183,12 @@ VERIFY_CASES = {
         _SCHEME: "tau = 0.001\nhorizon = 0.01",
         "[output]": "[variant]\nkind = scaled_sinh\nK = 2\n\n[output]",
     },
+    "linear-2d-9": {
+        _GRID: "dim = 2\nnodes = 9,9",
+        _AMPLITUDE: "amplitude = 0.5",
+        _SCHEME: "tau = 0.001\nhorizon = 0.005",
+        "[output]": "[variant]\nkind = linear\n\n[output]",
+    },
 }
 # the runs whose Newton directions factor a Schur matrix instead of using PCG
 LU_DIRECTION_CASES = {"p3", "exp", "p3-1d-33"}
@@ -205,7 +211,7 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("name,lhs,rhs,margin,pass")
         assert out == (run_dir / "reports.csv").read_text()
-        if case in ("default", "3d"):
+        if case in ("default", "3d", "linear-2d-9"):
             assert out.count("true") == 3
 
     def test_verify_rejects_step_off_the_scheme(self, tmp_path, capsys):
@@ -377,7 +383,8 @@ class TestCompareCommand:
         """sinh, exp and linear side by side on 2-D 9^2 reach both Newton
         direction solves (PCG for sinh and linear, the factored Schur matrix
         for exp); verify re-checks the exp and linear runs and prints the
-        header-only reports.csv each wrote."""
+        reports.csv each wrote: the header alone for exp, the three energy
+        reports for linear."""
         path = tmp_path / "exp.cfg"
         path.write_text(_edited(VERIFY_CASES["2d-9"]))
         args = ["compare", str(path), "--variants", "sinh,exp,linear"]
@@ -388,10 +395,12 @@ class TestCompareCommand:
         for kind in ("sinh", "exp", "linear"):
             manifest = json.loads((tmp_path / f"variant_{kind}" / "manifest.json").read_text())
             assert manifest["status"] == "OK"
-        for kind in ("exp", "linear"):
+        for kind, passing in (("exp", 0), ("linear", 3)):
             run_dir = tmp_path / f"variant_{kind}"
             assert main(["verify", str(run_dir)]) == 0
-            assert capsys.readouterr().out == (run_dir / "reports.csv").read_text()
+            out = capsys.readouterr().out
+            assert out == (run_dir / "reports.csv").read_text()
+            assert out.count("true") == passing
 
     @pytest.mark.parametrize("bad_value", ["tanh", "scaled_sinh"])
     def test_bad_variant_exit_2_before_any_run(self, bad_value, config_path, tmp_path, capsys):

@@ -229,6 +229,17 @@ class TestReportStructure:
         with pytest.raises(InvalidInputError, match="variant"):
             standard_reports(traj, ("prop31",))
 
+    def test_rejects_p_variant(self, grid1d):
+        """f of the p-variant is odd with f' >= 1, but its exponent is the
+        p-Laplacian, outside the three inequalities' derivations."""
+        traj = run(
+            _random_smooth(grid1d, 0.2, seed=1),
+            SchemeParams(tau=0.01, horizon=0.02),
+            make_variant("p_exponent", p=3),
+        )
+        with pytest.raises(InvalidInputError, match="p_exponent"):
+            standard_reports(traj, ("prop31",))
+
     def test_csv_serialization(self, cosine_traj):
         reports = standard_reports(cosine_traj)
         buf = io.StringIO()

@@ -246,6 +246,15 @@ class TestRunExperiment:
         assert [rep.name for rep in result.reports] == ["p_variant_energy"]
         assert result.reports[0].passed
 
+    def test_linear_variant_gets_the_energy_reports(self, tmp_path):
+        """f(w) = w is odd with f' = 1, so a linear run is audited against
+        the three energy inequalities, as sinh and scaled_sinh are."""
+        cfg = make_cfg(**{"[output]": "[variant]\nkind = linear\n\n[output]"})
+        result = run_experiment(cfg, tmp_path)
+        assert result.ok
+        assert [rep.name for rep in result.reports] == ["prop31", "prop32", "prop33"]
+        assert all(rep.passed for rep in result.reports)
+
 
 class TestStepRecheck:
     @pytest.mark.parametrize(

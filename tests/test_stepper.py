@@ -909,7 +909,7 @@ class TestVariantFactories:
     def test_scaled_sinh_k1_is_sinh_bit_for_bit(self):
         w = np.random.default_rng(0).uniform(-40.0, 40.0, 1001)
         scaled, plain = make_variant("scaled_sinh", K=1.0), sinh_variant()
-        assert scaled.hyperbolic and plain.hyperbolic
+        assert scaled.coercive and plain.coercive
         for name in ("f", "df", "antiderivative"):
             np.testing.assert_array_equal(getattr(scaled, name)(w), getattr(plain, name)(w))
 
