@@ -15,13 +15,18 @@ equals that file byte for byte. It exits 1 when a step misses the scheme
 read or is a snapshot of another grid (naming the file).
 
 An argument no run can start from (an unreadable config path, an unknown
-sweep parameter or variant, a sweep value that is not a finite number or
-does not divide the horizon into one or more steps) exits 2 with one
-"error: ..." line, and a config that fails validation exits 2 with its
-violations, both before any run directory is written.
+sweep parameter or variant, a sweep value that is not a finite number,
+does not divide the horizon into one or more steps or names the run
+directory of an earlier value, an output directory that cannot be made)
+exits 2 with one "error: ..." line before any run starts, and a config
+that fails validation exits 2 with its violations before any run
+directory is written.
 
-The CRYSTALFLOW_OUTPUT_ROOT environment variable, when set, is prepended
-to every configured output directory.
+--output-root, or else the CRYSTALFLOW_OUTPUT_ROOT environment variable,
+is prepended to the configured output directory for `run`. For `sweep`
+and `compare` it takes the place of the configured directory: the run
+directories (<param>_<value>/, variant_<name>/) and the summary CSV go
+straight under it, so `--output-root R sweep cfg` writes R/tau_0.01/.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output-root",
         default=None,
-        help=f"prepended to output directories (default: ${OUTPUT_ROOT_ENV})",
+        help="prepended to run's output directory; replaces sweep's and compare's "
+        f"(default: ${OUTPUT_ROOT_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -60,6 +60,27 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _make_dir(path: Path) -> Path:
+    """path, made with its parents; ArgumentError naming it when it cannot be."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ArgumentError(f"cannot make output directory {path}: {err.strerror}") from None
+    return path
+
+
+def _clear_earlier_run(out_dir: Path) -> None:
+    """Remove what an earlier run wrote to out_dir under the names a run
+    writes, so that a manifest lists only its own run's files."""
+    for name in ("trajectory.csv", "reports.csv", "report_terms.csv", "manifest.json"):
+        (out_dir / name).unlink(missing_ok=True)
+    fields_dir = out_dir / "fields"
+    if fields_dir.is_dir():
+        for pattern in ("u_*.csv", "w_*.csv"):
+            for path in fields_dir.glob(pattern):
+                path.unlink()
+
+
 def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     monitors = continuum_monitors(traj)
     measure = traj.grid.measure
@@ -148,14 +169,17 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
     """Run one configured trajectory and persist all artifacts.
 
     output_root, when given, is prepended to the configured output
-    directory. Returns exit code 0 on a clean run, 1 when the step solver
-    or an estimate check raised; the directory then contains a FAILED
+    directory; a directory that cannot be made raises ArgumentError. What
+    an earlier run left there under the names a run writes is removed
+    first. Returns exit code 0 on a clean run, 1 when the step solver or
+    an estimate check raised; the directory then contains a FAILED
     manifest along with any partial artifacts.
     """
     out_dir = Path(cfg.output.directory)
     if output_root is not None:
         out_dir = Path(output_root) / out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
+    _clear_earlier_run(out_dir)
 
     config_text = config_to_text(cfg)
     (out_dir / "config.txt").write_text(config_text, newline="\n")
@@ -240,16 +264,30 @@ def sweep(
 ) -> list[ExperimentResult]:
     """Run the config once per parameter value and summarize convergence.
 
-    Each value gets its own subdirectory <param>_<value>. The summary CSV
-    lists, per consecutive pair of runs, the final-time L2 difference and
-    the observed order log2 of the ratio of successive differences, which
-    is the self-convergence rate when values halve. Every value is checked
-    before the first run starts; a bad one raises ArgumentError.
+    The sweep's root directory is output_root when given, in place of the
+    configured output directory, which it is otherwise. Each value gets
+    its own subdirectory <param>_<value:g> of the root, and the root holds
+    sweep_summary.csv. The summary CSV lists, per consecutive pair of
+    runs, the final-time L2 difference and the observed order log2 of the
+    ratio of successive differences, which is the self-convergence rate
+    when values halve. Every value is checked, and every directory made,
+    before the first run starts: a bad value, two values naming the same
+    subdirectory, or a directory that cannot be made raises ArgumentError.
     """
     sub_cfgs = [_with_param(cfg, param, value) for value in values]
+    earlier = {}
+    for value, sub_cfg in zip(values, sub_cfgs):
+        directory = sub_cfg.output.directory
+        if directory in earlier:
+            raise ArgumentError(
+                f"sweep value {value!r} names the run directory {directory} "
+                f"of the value {earlier[directory]!r}"
+            )
+        earlier[directory] = value
     values = [getattr(sub_cfg.scheme, param) for sub_cfg in sub_cfgs]
     root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
-    root.mkdir(parents=True, exist_ok=True)
+    for sub_cfg in sub_cfgs:
+        _make_dir(root / sub_cfg.output.directory)
     jobs = [(sub_cfg, root) for sub_cfg in sub_cfgs]
 
     if workers > 1:
@@ -281,17 +319,21 @@ def compare_variants(
 ) -> dict:
     """Run the same initial data under several nonlinearities side by side.
 
-    Produces a comparison CSV with the continuum_monitors series w_sup and
+    The comparison's root directory is output_root when given, in place of
+    the configured output directory, which it is otherwise. Each variant
+    runs in the subdirectory variant_<name> of the root, and the root holds
+    variant_comparison.csv: the continuum_monitors series w_sup and
     int F(w) of every variant, aligned on t_k. Per-variant failures are
-    recorded without aborting the remaining variants. Every name is resolved before the first
-    run starts; an unknown kind, or one that needs a parameter, raises
+    recorded without aborting the remaining variants. Every name is
+    resolved, and the root made, before the first run starts: an unknown
+    kind, one that needs a parameter, or a root that cannot be made raises
     ArgumentError.
     """
     from .nonlinearity import make_variant
 
     resolved = {name: make_variant(name) for name in variants}
     root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
-    root.mkdir(parents=True, exist_ok=True)
+    _make_dir(root)
 
     results = {}
     for name, variant in resolved.items():

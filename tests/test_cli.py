@@ -113,6 +113,35 @@ class TestRunCommand:
         assert named in err[1]
         assert not root.exists()
 
+    @pytest.mark.parametrize(
+        "second, code, artifacts",
+        [
+            ({"amplitude = 0.1": "amplitude = 30"}, 1, ["config.txt"]),
+            (
+                {"amplitude = 0.1": "amplitude = 0.2", "snapshot_stride = 1": "snapshot_stride = 0"},
+                0,
+                ["config.txt", "report_terms.csv", "reports.csv", "trajectory.csv"],
+            ),
+        ],
+        ids=["failed-over-clean", "no-snapshots-over-snapshots"],
+    )
+    def test_rerun_lists_only_its_own_artifacts(self, second, code, artifacts, tmp_path, capsys):
+        """A run into the directory of an earlier one removes what that run
+        wrote under the names a run writes: its manifest lists only its own
+        files, and verify cannot pass on the earlier run's snapshots."""
+        cfg, run_dir = tmp_path / "exp.cfg", tmp_path / "demo"
+        small = {"nodes = 65": "nodes = 17", "horizon = 0.05": "horizon = 0.04"}
+        cfg.write_text(_edited(small))
+        assert main(["--output-root", str(tmp_path), "run", str(cfg)]) == 0
+        assert len(list((run_dir / "fields").iterdir())) == 10
+        cfg.write_text(_edited({**small, **second}))
+        assert main(["--output-root", str(tmp_path), "run", str(cfg)]) == code
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == artifacts
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["--output-root", str(tmp_path / "out"), "run", str(tmp_path / "nosuch.cfg")])
         assert code == 2
@@ -366,8 +395,11 @@ class TestSweepCommand:
             (["--values", "0.01", "0.007"], "0.007"),
             (["--values", "0.01", "abc"], "abc"),
             (["--values", "0.01", "inf"], "inf"),
+            # both name the run directory reg_eps_0.001
+            (["--param", "reg_eps", "--values", "1e-3", "1.0000001e-3", "5e-4"], "1.0000001e-3"),
+            (["--values", "0.01", "0.01", "0.005"], "0.01"),
         ],
-        ids=["param", "not-dividing", "not-a-number", "not-finite"],
+        ids=["param", "not-dividing", "not-a-number", "not-finite", "same-directory", "repeated"],
     )
     def test_bad_argument_exit_2_before_any_run(
         self, args, bad_value, config_path, tmp_path, capsys
@@ -409,6 +441,31 @@ class TestCompareCommand:
         assert main(["--output-root", str(root), *args]) == 2
         _assert_one_error_line(capsys.readouterr().err, bad_value)
         assert not root.exists()
+
+
+@pytest.mark.parametrize(
+    "args, root, blocked",
+    [
+        (["run"], ".", "demo"),
+        (["sweep", "--values", "0.01", "0.005"], ".", "tau_0.005"),
+        (["compare"], "r", "r"),
+    ],
+    ids=["run", "sweep-value", "compare-root"],
+)
+def test_output_directory_that_cannot_be_made_exit_2(
+    args, root, blocked, config_path, tmp_path, capsys
+):
+    """A plain file where an output directory should go is refused with one
+    "error: ..." line naming it, before any run starts."""
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / blocked
+    path.write_text("not a directory\n")
+    command, *options = args
+    assert main(["--output-root", str(out / root), command, config_path, *options]) == 2
+    _assert_one_error_line(capsys.readouterr().err, str(path))
+    assert [p for p in out.rglob("*") if p.is_file()] == [path]
+    assert path.read_text() == "not a directory\n"
 
 
 def _module_cli(*args):
