@@ -60,13 +60,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _make_dir(path: Path) -> Path:
-    """path, made with its parents; ArgumentError naming it when it cannot be."""
+def _make_dir(path: Path) -> None:
+    """Make path with its parents; ArgumentError naming it when it cannot be."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ArgumentError(f"cannot make output directory {path}: {err.strerror}") from None
-    return path
 
 
 def _clear_earlier_run(out_dir: Path) -> None:
@@ -76,9 +75,8 @@ def _clear_earlier_run(out_dir: Path) -> None:
         (out_dir / name).unlink(missing_ok=True)
     fields_dir = out_dir / "fields"
     if fields_dir.is_dir():
-        for pattern in ("u_*.csv", "w_*.csv"):
-            for path in fields_dir.glob(pattern):
-                path.unlink()
+        for path in fields_dir.glob("[uw]_*.csv"):
+            path.unlink()
 
 
 def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
@@ -286,6 +284,7 @@ def sweep(
         earlier[directory] = value
     values = [getattr(sub_cfg.scheme, param) for sub_cfg in sub_cfgs]
     root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
+    _make_dir(root)
     for sub_cfg in sub_cfgs:
         _make_dir(root / sub_cfg.output.directory)
     jobs = [(sub_cfg, root) for sub_cfg in sub_cfgs]
