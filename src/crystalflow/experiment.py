@@ -32,6 +32,7 @@ from .estimates import (
 )
 from .exceptions import ArgumentError, CrystalflowError
 from .grid import FLOAT_FMT, load_field, save_field
+from .nonlinearity import make_variant
 from .stepper import StepRecord, Trajectory, check_scheme, run
 
 __all__ = [
@@ -235,16 +236,55 @@ def _run_for_value(args):
 
 
 def _with_param(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
-    """cfg with param set to value, writing to the subdirectory <param>_<value>."""
-    if param not in ("tau", "reg_eps"):
-        raise ArgumentError(f"unsupported sweep parameter {param!r}; use tau or reg_eps")
+    """cfg with param set to value, writing to its own subdirectory:
+    variant_<name> for a make_variant name, else <param>_<value:g>."""
+    if param == "variant":
+        output = dataclasses.replace(cfg.output, directory=f"variant_{value}")
+        return dataclasses.replace(cfg, variant=make_variant(value), output=output)
     try:
         value = float(value)
         scheme = dataclasses.replace(cfg.scheme, **{param: value})
     except ValueError as err:
-        raise ArgumentError(f"sweep value {value!r}: {err}") from None
+        raise ArgumentError(f"{param} value {value!r}: {err}") from None
     output = dataclasses.replace(cfg.output, directory=f"{param}_{value:g}")
     return dataclasses.replace(cfg, scheme=scheme, output=output)
+
+
+def _run_batch(
+    cfg: ExperimentConfig, param: str, values, output_root, workers: int = 1
+) -> tuple[Path, list[ExperimentResult]]:
+    """Run cfg once per value of param (tau, reg_eps or variant), each in its
+    own subdirectory (_with_param) of the root, serially or on workers > 1
+    processes; returns (root, results).
+
+    The root is output_root when given, in place of the configured output
+    directory. Every value is checked, and the root and every run directory
+    made, before the first run: no values, a value no run can use, two
+    values naming one run directory, or a directory that cannot be made
+    raises ArgumentError.
+    """
+    if len(values) == 0:
+        raise ArgumentError(f"no {param} values to run")
+    sub_cfgs = [_with_param(cfg, param, value) for value in values]
+    earlier = {}
+    for value, sub_cfg in zip(values, sub_cfgs):
+        directory = sub_cfg.output.directory
+        if directory in earlier:
+            raise ArgumentError(
+                f"the {param} values {earlier[directory]!r} and {value!r} "
+                f"both name the run directory {directory}"
+            )
+        earlier[directory] = value
+    root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
+    _make_dir(root)
+    for sub_cfg in sub_cfgs:
+        _make_dir(root / sub_cfg.output.directory)
+    jobs = [(sub_cfg, root) for sub_cfg in sub_cfgs]
+
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return root, list(pool.map(_run_for_value, jobs))
+    return root, [_run_for_value(job) for job in jobs]
 
 
 def _final_l2_diff(a: Trajectory, b: Trajectory) -> float:
@@ -254,46 +294,20 @@ def _final_l2_diff(a: Trajectory, b: Trajectory) -> float:
 
 
 def sweep(
-    cfg: ExperimentConfig,
-    param: str,
-    values,
-    output_root=None,
-    workers: int = 1,
+    cfg: ExperimentConfig, param: str, values, output_root=None, workers: int = 1
 ) -> list[ExperimentResult]:
-    """Run the config once per parameter value and summarize convergence.
+    """Run the config once per value of param (tau or reg_eps) and summarize
+    convergence.
 
-    The sweep's root directory is output_root when given, in place of the
-    configured output directory, which it is otherwise. Each value gets
-    its own subdirectory <param>_<value:g> of the root, and the root holds
-    sweep_summary.csv. The summary CSV lists, per consecutive pair of
-    runs, the final-time L2 difference and the observed order log2 of the
-    ratio of successive differences, which is the self-convergence rate
-    when values halve. Every value is checked, and every directory made,
-    before the first run starts: a bad value, two values naming the same
-    subdirectory, or a directory that cannot be made raises ArgumentError.
+    _run_batch picks the root, checks every value and makes every run
+    directory <param>_<value:g> before the first run. The root holds
+    sweep_summary.csv: per consecutive pair of runs, the final-time L2
+    difference and the observed order log2 of the ratio of successive
+    differences, which is the self-convergence rate when values halve.
     """
-    sub_cfgs = [_with_param(cfg, param, value) for value in values]
-    earlier = {}
-    for value, sub_cfg in zip(values, sub_cfgs):
-        directory = sub_cfg.output.directory
-        if directory in earlier:
-            raise ArgumentError(
-                f"sweep value {value!r} names the run directory {directory} "
-                f"of the value {earlier[directory]!r}"
-            )
-        earlier[directory] = value
-    values = [getattr(sub_cfg.scheme, param) for sub_cfg in sub_cfgs]
-    root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
-    _make_dir(root)
-    for sub_cfg in sub_cfgs:
-        _make_dir(root / sub_cfg.output.directory)
-    jobs = [(sub_cfg, root) for sub_cfg in sub_cfgs]
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_for_value, jobs))
-    else:
-        results = [_run_for_value(job) for job in jobs]
+    if param not in ("tau", "reg_eps"):
+        raise ArgumentError(f"unsupported sweep parameter {param!r}; use tau or reg_eps")
+    root, results = _run_batch(cfg, param, values, output_root, workers)
 
     diffs = []
     for a, b in zip(results[:-1], results[1:]):
@@ -303,7 +317,7 @@ def sweep(
             diffs.append(float("nan"))
     with open(root / "sweep_summary.csv", "w", newline="\n") as fh:
         fh.write(f"{param},final_l2_diff_to_next,observed_order\n")
-        for i, value in enumerate(values):
+        for i, value in enumerate(map(float, values)):
             diff = FLOAT_FMT % diffs[i] if i < len(diffs) else ""
             if 1 <= i < len(diffs) and diffs[i] > 0 and np.isfinite(diffs[i - 1]):
                 order = FLOAT_FMT % np.log2(diffs[i - 1] / diffs[i])
@@ -318,30 +332,15 @@ def compare_variants(
 ) -> dict:
     """Run the same initial data under several nonlinearities side by side.
 
-    The comparison's root directory is output_root when given, in place of
-    the configured output directory, which it is otherwise. Each variant
-    runs in the subdirectory variant_<name> of the root, and the root holds
-    variant_comparison.csv: the continuum_monitors series w_sup and
-    int F(w) of every variant, aligned on t_k. Per-variant failures are
-    recorded without aborting the remaining variants. Every name is
-    resolved, and the root made, before the first run starts: an unknown
-    kind, one that needs a parameter, or a root that cannot be made raises
-    ArgumentError.
+    _run_batch picks the root, resolves every name and makes every run
+    directory variant_<name> before the first run; the variants run
+    serially. Per-variant failures are recorded without aborting the
+    remaining variants. The root holds variant_comparison.csv: the
+    continuum_monitors series w_sup and int F(w) of every variant, aligned
+    on t_k.
     """
-    from .nonlinearity import make_variant
-
-    resolved = {name: make_variant(name) for name in variants}
-    root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
-    _make_dir(root)
-
-    results = {}
-    for name, variant in resolved.items():
-        sub_cfg = dataclasses.replace(
-            cfg,
-            variant=variant,
-            output=dataclasses.replace(cfg.output, directory=f"variant_{name}"),
-        )
-        results[name] = run_experiment(sub_cfg, root)
+    root, batch = _run_batch(cfg, "variant", variants, output_root)
+    results = dict(zip(variants, batch))
 
     completed = {k: r for k, r in results.items() if r.trajectory is not None}
     if completed:

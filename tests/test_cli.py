@@ -434,12 +434,24 @@ class TestCompareCommand:
             assert out == (run_dir / "reports.csv").read_text()
             assert out.count("true") == passing
 
-    @pytest.mark.parametrize("bad_value", ["tanh", "scaled_sinh"])
-    def test_bad_variant_exit_2_before_any_run(self, bad_value, config_path, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "variants, named",
+        [
+            ("sinh,tanh", "tanh"),
+            ("sinh,scaled_sinh", "scaled_sinh"),
+            # both would run in variant_sinh
+            ("sinh,sinh", "variant_sinh"),
+            (",", "no variant"),
+        ],
+        ids=["tanh", "scaled_sinh", "repeated", "none"],
+    )
+    def test_bad_variant_exit_2_before_any_run(
+        self, variants, named, config_path, tmp_path, capsys
+    ):
         root = tmp_path / "out"
-        args = ["compare", config_path, "--variants", f"sinh,{bad_value}"]
+        args = ["compare", config_path, "--variants", variants]
         assert main(["--output-root", str(root), *args]) == 2
-        _assert_one_error_line(capsys.readouterr().err, bad_value)
+        _assert_one_error_line(capsys.readouterr().err, named)
         assert not root.exists()
 
 
@@ -449,8 +461,9 @@ class TestCompareCommand:
         (["run"], ".", "demo"),
         (["sweep", "--values", "0.01", "0.005"], ".", "tau_0.005"),
         (["compare"], "r", "r"),
+        (["compare", "--variants", "sinh,exp"], "r", "r/variant_exp"),
     ],
-    ids=["run", "sweep-value", "compare-root"],
+    ids=["run", "sweep-value", "compare-root", "compare-variant"],
 )
 def test_output_directory_that_cannot_be_made_exit_2(
     args, root, blocked, config_path, tmp_path, capsys
@@ -460,6 +473,7 @@ def test_output_directory_that_cannot_be_made_exit_2(
     out = tmp_path / "out"
     out.mkdir()
     path = out / blocked
+    path.parent.mkdir(exist_ok=True)
     path.write_text("not a directory\n")
     command, *options = args
     assert main(["--output-root", str(out / root), command, config_path, *options]) == 2
