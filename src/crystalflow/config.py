@@ -206,7 +206,12 @@ class _SectionReader:
 def parse_config(text) -> ExperimentConfig:
     """Parse and fully validate; raises ConfigError listing all violations."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(
+                [f"not UTF-8 text: byte 0x{text[err.start]:02x} at offset {err.start}"]
+            ) from None
     violations: list = []
     sections = _raw_sections(text, violations)
     for name in ("grid", "initial"):

@@ -36,14 +36,14 @@ class StepFailure(CrystalflowError):
 
 
 class OverflowCapError(CrystalflowError):
-    """A hyperbolic-function argument exceeded the overflow cap.
+    """The nonlinearity's argument exceeded its overflow bound.
 
     Exceeding the cap is a hard error rather than a silent clamp: clamping
     would corrupt the energy functionals this package exists to verify.
 
     Attributes:
         max_abs: largest offending |argument|
-        cap: the configured cap
+        cap: the bound exceeded: the configured cap, or linear's sqrt(max double)
     """
 
     def __init__(self, message, max_abs=None, cap=None):

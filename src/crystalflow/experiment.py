@@ -168,7 +168,8 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
     """Run one configured trajectory and persist all artifacts.
 
     output_root, when given, is prepended to the configured output
-    directory; a directory that cannot be made raises ArgumentError. What
+    directory, which must then be relative; an absolute one under a root,
+    or a directory that cannot be made, raises ArgumentError. What
     an earlier run left there under the names a run writes is removed
     first. Returns exit code 0 on a clean run, 1 when the step solver or
     an estimate check raised; the directory then contains a FAILED
@@ -176,6 +177,11 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
     """
     out_dir = Path(cfg.output.directory)
     if output_root is not None:
+        if out_dir.is_absolute():
+            raise ArgumentError(
+                f"the output directory {out_dir} is absolute; "
+                f"it cannot go under the output root {output_root}"
+            )
         out_dir = Path(output_root) / out_dir
     _make_dir(out_dir)
     _clear_earlier_run(out_dir)

@@ -27,6 +27,9 @@ __all__ = [
 VARIANT_PARAMS = {"sinh": None, "exp": None, "scaled_sinh": "K", "p_exponent": "p",
                   "linear": None}
 
+# linear's bound on |w|: above it F = w^2/2 and the reports' w f(w) overflow
+_LINEAR_MAX_W = float(np.sqrt(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -83,7 +86,20 @@ class Variant:
     # -- evaluation ----------------------------------------------------------
 
     def check_cap(self, w: np.ndarray, cap: float) -> None:
-        # e^w cannot overflow for negative w, so exp is capped from above only
+        """Raise OverflowCapError where f, f' or F may overflow: |K w| above
+        cap for the sinh variants, max w above cap for exp (e^w cannot
+        overflow for negative w), and for linear, which takes no
+        exponential, |w| above sqrt(max double), where w^2 overflows."""
+        if self.name == "linear":
+            top = np.abs(w).max()
+            if top > _LINEAR_MAX_W:
+                raise OverflowCapError(
+                    f"|w| = {top:.6g} exceeds sqrt(max double) = {_LINEAR_MAX_W:.6g}, "
+                    "where w^2 overflows; reduce the timestep or the initial data",
+                    max_abs=float(top),
+                    cap=_LINEAR_MAX_W,
+                )
+            return
         top = w.max() if self.name == "exp" else np.abs(w).max()
         scaled = top * abs(self.arg_scale)
         if scaled > cap:

@@ -142,6 +142,27 @@ class TestRunCommand:
         assert main(["verify", str(run_dir)]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--values", "0.01"], ["compare"]], ids=["run", "sweep", "compare"]
+    )
+    def test_config_not_utf8_exit_2_before_any_run(self, command, tmp_path, capsys):
+        cfg, root = tmp_path / "bad.cfg", tmp_path / "out"
+        cfg.write_bytes(b"\xff" + CONFIG.encode())
+        assert main(["--output-root", str(root), command[0], str(cfg), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid configuration:\nnot UTF-8 text: byte 0xff at offset 0\n"
+        assert not root.exists()
+
+    def test_absolute_directory_under_root_exit_2(self, tmp_path, capsys):
+        """A root cannot be prepended to an absolute directory: refused, not
+        dropped, and nothing is written."""
+        absolute = tmp_path / "abs"
+        cfg, root = tmp_path / "abs.cfg", tmp_path / "out"
+        cfg.write_text(_edited({"directory = demo": f"directory = {absolute}"}))
+        assert main(["--output-root", str(root), "run", str(cfg)]) == 2
+        _assert_one_error_line(capsys.readouterr().err, str(absolute))
+        assert not absolute.exists() and not root.exists()
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["--output-root", str(tmp_path / "out"), "run", str(tmp_path / "nosuch.cfg")])
         assert code == 2
@@ -315,6 +336,16 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 1
         assert missing.split("/")[-1] in capsys.readouterr().err
+
+    def test_verify_config_not_utf8(self, config_path, tmp_path, capsys):
+        # refused as any config.txt that fails validation, not a traceback
+        assert main(["--output-root", str(tmp_path), "run", config_path]) == 0
+        config_txt = tmp_path / "demo" / "config.txt"
+        config_txt.write_bytes(config_txt.read_bytes().replace(b"demo", b"d\xe9mo"))
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:\nnot UTF-8 text: byte 0xe9 at offset ")
 
     def test_verify_legacy_normalized_key(self, tmp_path, capsys):
         # a scaled_sinh config.txt written while f = sinh(K s)/K was selected

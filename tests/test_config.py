@@ -42,6 +42,12 @@ class TestParsing:
         cfg = parse_config(MINIMAL.encode("utf-8"))
         assert isinstance(cfg, ExperimentConfig)
 
+    def test_bytes_not_utf8_is_one_violation(self):
+        data = MINIMAL.encode("utf-8")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data[:10] + b"\xff" + data[10:])
+        assert exc.value.violations == ["not UTF-8 text: byte 0xff at offset 10"]
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# leading comment\n" + MINIMAL.replace(
             "amplitude = 0.1", "amplitude = 0.1  # inline"

@@ -255,6 +255,32 @@ class TestRunExperiment:
         assert [rep.name for rep in result.reports] == ["prop31", "prop32", "prop33"]
         assert all(rep.passed for rep in result.reports)
 
+    _LARGE_LINEAR = {
+        "nodes = 65": "nodes = 17",
+        "tau = 0.01\nhorizon = 0.1": "tau = 1\nhorizon = 2\nreg_eps = 1",
+        "[output]": "[variant]\nkind = linear\n\n[output]",
+    }
+
+    def test_linear_is_not_bound_by_sinh_arg_cap(self, tmp_path):
+        """linear's f, f' and F take no exponential: |w| = 8670 > 700 runs
+        and passes the three energy inequalities."""
+        cfg = make_cfg(**{**self._LARGE_LINEAR, "amplitude = 0.1": "amplitude = 800"})
+        result = run_experiment(cfg, tmp_path)
+        assert result.ok, result.error
+        assert result.trajectory.records[0].w.values.max() > cfg.scheme.sinh_arg_cap
+        assert [rep.name for rep in result.reports] == ["prop31", "prop32", "prop33"]
+        assert all(rep.passed for rep in result.reports)
+
+    def test_linear_w_whose_square_overflows_is_refused(self, tmp_path):
+        # w_0 = reg_eps c = 1e155 > sqrt(max double) = 1.34e154
+        cfg = make_cfg(**{
+            **self._LARGE_LINEAR,
+            "profile = cosine\namplitude = 0.1": "profile = constant\nc = 1e155",
+        })
+        result = run_experiment(cfg, tmp_path)
+        assert result.exit_code == 1 and result.trajectory is None
+        assert result.error.startswith("OverflowCapError: step 0: |w| = 1e+155 exceeds sqrt(max")
+
 
 class TestStepRecheck:
     @pytest.mark.parametrize(
