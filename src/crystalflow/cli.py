@@ -17,16 +17,19 @@ read or is a snapshot of another grid (naming the file).
 An argument no run can start from (an unreadable config path, an unknown
 sweep parameter or variant, a sweep value that is not a finite number,
 does not divide the horizon into one or more steps or names the run
-directory of an earlier value, an output directory that cannot be made)
-exits 2 with one "error: ..." line before any run starts, and a config
-that fails validation exits 2 with its violations before any run
-directory is written.
+directory of an earlier value, a variant named twice or no variant at
+all, an absolute configured directory under an output root, an output
+or run directory that cannot be made) exits 2 with one "error: ..." line
+before any run starts, and a config that fails validation, or is not
+UTF-8 text, exits 2 with its violations before any run directory is
+written.
 
 --output-root, or else the CRYSTALFLOW_OUTPUT_ROOT environment variable,
-is prepended to the configured output directory for `run`. For `sweep`
-and `compare` it takes the place of the configured directory: the run
-directories (<param>_<value>/, variant_<name>/) and the summary CSV go
-straight under it, so `--output-root R sweep cfg` writes R/tau_0.01/.
+is prepended to the configured output directory for `run`, which must
+then be relative. For `sweep` and `compare` it takes the place of the
+configured directory: the run directories (<param>_<value>/,
+variant_<name>/) and the summary CSV go straight under it, so
+`--output-root R sweep cfg` writes R/tau_0.01/.
 """
 
 from __future__ import annotations

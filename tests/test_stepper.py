@@ -899,14 +899,6 @@ class TestVariantFactories:
         with pytest.raises(OverflowCapError):
             sinh_variant().check_cap(np.array([-800.0]), 700.0)
 
-    def test_linear_bound_is_where_w_squared_overflows(self):
-        linear = make_variant("linear")
-        linear.check_cap(np.array([-1e154, 1e154]), 700.0)
-        with pytest.raises(OverflowCapError, match="sqrt") as exc:
-            linear.check_cap(np.array([-1e155]), 700.0)
-        assert exc.value.max_abs == 1e155
-        assert exc.value.cap == np.sqrt(np.finfo(float).max)
-
     def test_sinh_cap_check(self):
         v = sinh_variant()
         with pytest.raises(OverflowCapError) as exc, _at_step(3):
