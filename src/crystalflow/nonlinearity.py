@@ -91,23 +91,16 @@ class Variant:
         overflow for negative w), and for linear, which takes no
         exponential, |w| above sqrt(max double), where w^2 overflows."""
         if self.name == "linear":
-            top = np.abs(w).max()
-            if top > _LINEAR_MAX_W:
-                raise OverflowCapError(
-                    f"|w| = {top:.6g} exceeds sqrt(max double) = {_LINEAR_MAX_W:.6g}, "
-                    "where w^2 overflows; reduce the timestep or the initial data",
-                    max_abs=float(top),
-                    cap=_LINEAR_MAX_W,
-                )
-            return
-        top = w.max() if self.name == "exp" else np.abs(w).max()
-        scaled = top * abs(self.arg_scale)
-        if scaled > cap:
+            top, bound, name = np.abs(w).max(), _LINEAR_MAX_W, "sqrt(max double)"
+        else:
+            top = w.max() if self.name == "exp" else np.abs(w).max()
+            top, bound, name = top * abs(self.arg_scale), cap, "sinh_arg_cap"
+        if top > bound:
             raise OverflowCapError(
-                f"|argument| = {scaled:.6g} exceeds sinh_arg_cap = {cap:.6g}; "
+                f"|argument| = {top:.6g} exceeds {name} = {bound:.6g}; "
                 "reduce the timestep or the initial data",
-                max_abs=float(scaled),
-                cap=cap,
+                max_abs=float(top),
+                cap=bound,
             )
 
     # the hyperbolic branches divide by K = 1 for sinh and the p-variant,

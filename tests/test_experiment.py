@@ -279,7 +279,9 @@ class TestRunExperiment:
         })
         result = run_experiment(cfg, tmp_path)
         assert result.exit_code == 1 and result.trajectory is None
-        assert result.error.startswith("OverflowCapError: step 0: |w| = 1e+155 exceeds sqrt(max")
+        assert result.error.startswith(
+            "OverflowCapError: step 0: |argument| = 1e+155 exceeds sqrt(max double) = 1.34078e+154"
+        )
 
 
 class TestStepRecheck:
