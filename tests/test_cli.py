@@ -143,7 +143,9 @@ class TestRunCommand:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "command", [["run"], ["sweep", "--values", "0.01"], ["compare"]], ids=["run", "sweep", "compare"]
+        "command",
+        [["run"], ["sweep", "--values", "0.01"], ["compare"]],
+        ids=["run", "sweep", "compare"],
     )
     def test_config_not_utf8_exit_2_before_any_run(self, command, tmp_path, capsys):
         cfg, root = tmp_path / "bad.cfg", tmp_path / "out"
