@@ -18,7 +18,7 @@ import numpy as np
 from .estimates import REPORT_NAMES
 from .exceptions import ConfigError, CrystalflowError
 from .grid import FLOAT_FMT, Field, Grid, load_field
-from .nonlinearity import VARIANT_PARAMS, Variant
+from .nonlinearity import EXP_ARG_BOUND, VARIANT_PARAMS, Variant
 from .stepper import SchemeParams
 
 __all__ = [
@@ -47,7 +47,7 @@ class InitialSpec:
     c: float | None = None
     amplitude: float | None = None
     mode: int = 1
-    width: float = 0.1
+    width: float = 0.5
     seed: int | None = None
     path: str | None = None
 
@@ -155,6 +155,25 @@ _TYPES = {
 _SCHEME_KEYS = {f.name: "real" for f in fields(SchemeParams)}
 _OUTPUT_KEYS = {"directory": "string", "snapshot_stride": "integer", "reports": "names"}
 
+# keys the format no longer takes, which old config.txt files still carry:
+# (section, key) -> (parser, the values the key can still mean, what holds
+# instead). A retired key is read only at those values; any other is refused.
+_RETIRED_KEYS = {
+    ("scheme", "sinh_arg_cap"): (float, {EXP_ARG_BOUND}, (
+        f"the overflow bound is fixed: {EXP_ARG_BOUND:g} on |K w| for the sinh variants "
+        "and on max w for exp, sqrt(max double) on |w| for linear")),
+    # written while f = sinh(K s)/K was one choice of scaled_sinh
+    ("variant", "normalized"): (str.lower, {"true", "yes", "1"},
+                                "scaled_sinh is always sinh(K s)/K"),
+}
+
+
+def _still_meant(value: str, parse, meant) -> bool:
+    try:
+        return parse(value) in meant
+    except ValueError:
+        return False
+
 
 class _SectionReader:
     """Typed accessors over one raw section, accumulating violations."""
@@ -187,8 +206,16 @@ class _SectionReader:
         return {key: value for key, value in values.items() if value is not None}
 
     def finish(self):
-        for key, (_, lineno) in self.raw.items():
-            self.violations.append(f"line {lineno}: unknown key {key!r} in [{self.name}]")
+        """Refuse every key left unread: unknown, or retired at a value it can no longer mean."""
+        for key, (value, lineno) in self.raw.items():
+            retired = _RETIRED_KEYS.get((self.name, key))
+            if retired is None:
+                self.violations.append(f"line {lineno}: unknown key {key!r} in [{self.name}]")
+            elif not _still_meant(value, *retired[:2]):
+                self.violations.append(
+                    f"[{self.name}] {key} = {value} is not supported; {retired[2]}")
+            else:
+                continue
             self.ok = False
 
     def build(self, cls, values):
@@ -279,15 +306,6 @@ def _parse_variant(raw, violations):
     kind = "sinh" if kind is None else kind
     key = VARIANT_PARAMS.get(kind)
     param = None if key is None else r.read(key, "real", required=True)
-    if kind == "scaled_sinh":
-        # config.txt files written before f = sinh(K s)/K was the only
-        # scaled_sinh say so; any other value named a variant that is gone
-        normalized = r.read("normalized", "string")
-        if normalized is not None and normalized.lower() not in ("true", "yes", "1"):
-            violations.append(
-                f"[variant] normalized = {normalized} is not supported; "
-                "scaled_sinh is always sinh(K s)/K"
-            )
     r.finish()
     return r.build(Variant, {"name": kind, "param": param}) if r.ok else None
 

@@ -38,12 +38,13 @@ class StepFailure(CrystalflowError):
 class OverflowCapError(CrystalflowError):
     """The nonlinearity's argument exceeded its overflow bound.
 
-    Exceeding the cap is a hard error rather than a silent clamp: clamping
+    Exceeding the bound is a hard error rather than a silent clamp: clamping
     would corrupt the energy functionals this package exists to verify.
 
     Attributes:
         max_abs: largest offending |argument|
-        cap: the bound exceeded: the configured cap, or linear's sqrt(max double)
+        cap: the bound exceeded: nonlinearity.EXP_ARG_BOUND, or linear's
+            sqrt(max double)
     """
 
     def __init__(self, message, max_abs=None, cap=None):

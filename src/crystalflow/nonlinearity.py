@@ -17,6 +17,7 @@ import numpy as np
 from .exceptions import ArgumentError, OverflowCapError
 
 __all__ = [
+    "EXP_ARG_BOUND",
     "VARIANT_PARAMS",
     "Variant",
     "sinh_variant",
@@ -26,6 +27,11 @@ __all__ = [
 # every variant kind, with the config key of its one parameter, if any
 VARIANT_PARAMS = {"sinh": None, "exp": None, "scaled_sinh": "K", "p_exponent": "p",
                   "linear": None}
+
+# the bound on |K w| for the sinh variants and on max w for exp: sinh, cosh
+# and exp overflow above ln(max double), about 709.78; the margin keeps a
+# product such as the reports' w f(w) (at most 700 sinh(700), 3.5e306) finite
+EXP_ARG_BOUND = 700.0
 
 # linear's bound on |w|: above it F = w^2/2 and the reports' w f(w) overflow
 _LINEAR_MAX_W = float(np.sqrt(np.finfo(float).max))
@@ -85,16 +91,16 @@ class Variant:
 
     # -- evaluation ----------------------------------------------------------
 
-    def check_cap(self, w: np.ndarray, cap: float) -> None:
+    def check_cap(self, w: np.ndarray) -> None:
         """Raise OverflowCapError where f, f' or F may overflow: |K w| above
-        cap for the sinh variants, max w above cap for exp (e^w cannot
-        overflow for negative w), and for linear, which takes no
+        EXP_ARG_BOUND for the sinh variants, max w above it for exp (e^w
+        cannot overflow for negative w), and for linear, which takes no
         exponential, |w| above sqrt(max double), where w^2 overflows."""
         if self.name == "linear":
             top, bound, name = np.abs(w).max(), _LINEAR_MAX_W, "sqrt(max double)"
         else:
             top = w.max() if self.name == "exp" else np.abs(w).max()
-            top, bound, name = top * abs(self.arg_scale), cap, "sinh_arg_cap"
+            top, bound, name = top * abs(self.arg_scale), EXP_ARG_BOUND, "the overflow bound"
         if top > bound:
             raise OverflowCapError(
                 f"|argument| = {top:.6g} exceeds {name} = {bound:.6g}; "

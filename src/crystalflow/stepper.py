@@ -76,31 +76,25 @@ __all__ = [
     "run",
 ]
 
-# ln of the largest double: sinh, cosh and exp overflow beyond it
-_MAX_EXP_ARG = math.log(np.finfo(float).max)
-
-
 @dataclass(frozen=True)
 class SchemeParams:
-    """Timestep, horizon, regularization coupling, step tolerance and the
-    overflow cap on the exponent's argument.
+    """Timestep, horizon, regularization coupling and step tolerance.
 
     reg_eps = None keeps the fully coupled scheme where the timestep itself is
     the regularization weight in both zero-order terms; a positive reg_eps
     decouples them so the timestep can be refined at fixed regularization.
     picard_tol bounds the sup-norm of both stencil residuals of an accepted
-    step. sinh_arg_cap is at most ln(max double), about 709.78, where sinh,
-    cosh and exp overflow.
+    step. The overflow bound on the exponent's argument is the variant's
+    own (Variant.check_cap), not a parameter.
     """
 
     tau: float
     horizon: float
     reg_eps: float | None = None
     picard_tol: float = 1e-10
-    sinh_arg_cap: float = 700.0
 
     def __post_init__(self):
-        for name in ("tau", "horizon", "reg_eps", "picard_tol", "sinh_arg_cap"):
+        for name in ("tau", "horizon", "reg_eps", "picard_tol"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -122,10 +116,6 @@ class SchemeParams:
             raise ValueError(f"reg_eps must be positive when given, got {self.reg_eps}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if not 0 < self.sinh_arg_cap <= _MAX_EXP_ARG:
-            raise ValueError(
-                f"sinh_arg_cap must be in (0, {_MAX_EXP_ARG:.6g}], got {self.sinh_arg_cap}"
-            )
 
     @property
     def num_steps(self) -> int:
@@ -280,13 +270,12 @@ def _stencil_residuals(
     u: np.ndarray,
     w: np.ndarray,
     variant: Variant,
-    cap: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the two step equations at (u, w), stepping from v.
 
-    Raises OverflowCapError first when w exceeds the cap.
+    Raises OverflowCapError first when w exceeds the variant's bound.
     """
-    variant.check_cap(w, cap)
+    variant.check_cap(w)
     r1 = (u - v) / tau - laplacian_matrix(grid) @ variant.f(w) + tau_reg * w
     r2 = _apply_exponent_op(grid, tau_reg, u, variant) - w
     return r1, r2
@@ -306,10 +295,9 @@ def _step_residual(
     u: np.ndarray,
     w: np.ndarray,
     variant: Variant,
-    cap: float,
 ) -> float:
     """_residual_norm of the stencil residuals at (u, w), stepping from v."""
-    return _residual_norm(*_stencil_residuals(grid, tau, tau_reg, v, u, w, variant, cap))
+    return _residual_norm(*_stencil_residuals(grid, tau, tau_reg, v, u, w, variant))
 
 
 def init_w0(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Field:
@@ -332,7 +320,7 @@ def fixed_point_step(
     correction term makes its fixed point satisfy the stencil equations to
     the Picard tolerance. Damping starts at 1 and is halved whenever the
     combined residual increases, and a trial is rejected the same way when
-    its argument exceeds the cap or its inner u-solve raises StepFailure.
+    its argument exceeds the variant's bound or its inner u-solve raises StepFailure.
     On stagnation, or after _PICARD_MAX_ITER iterations, newton_step takes
     over from the last iterate.
 
@@ -342,14 +330,14 @@ def fixed_point_step(
     """
     variant = variant or sinh_variant()
     grid = v.grid
-    tau, tau_reg, cap = params.tau, params.reg_weight, params.sinh_arg_cap
+    tau, tau_reg = params.tau, params.reg_weight
     tol = params.picard_tol
     lap = laplacian_matrix(grid)
 
     phi = phi_init.values.copy()
-    variant.check_cap(phi, cap)
+    variant.check_cap(phi)
     u = _solve_exponent_problem(grid, tau_reg, phi, variant, v.values, tol / 10)
-    res = _step_residual(grid, tau, tau_reg, v.values, u, phi, variant, cap)
+    res = _step_residual(grid, tau, tau_reg, v.values, u, phi, variant)
     theta = 1.0
     history = [res]
     iters = 0
@@ -369,9 +357,7 @@ def fixed_point_step(
             phi_try = (1 - theta) * phi + theta * w_hat
             try:
                 u_try = _solve_exponent_problem(grid, tau_reg, phi_try, variant, u, tol / 10)
-                res_try = _step_residual(
-                    grid, tau, tau_reg, v.values, u_try, phi_try, variant, cap
-                )
+                res_try = _step_residual(grid, tau, tau_reg, v.values, u_try, phi_try, variant)
             except (OverflowCapError, StepFailure):
                 theta /= 2
                 continue
@@ -598,16 +584,17 @@ def newton_step(
       Schur matrix I/tau + A B of the u-update afresh each iteration.
 
     Whatever the path, the step ends once _residual_norm is at most
-    picard_tol; every trial's residuals check w against the cap first. A
+    picard_tol; every trial's residuals check w against the variant's
+    overflow bound first. A
     PCG direction whose arithmetic overflows raises SolverFailure.
     """
     variant = variant or sinh_variant()
     grid = v.grid
-    tau, tau_reg, cap = params.tau, params.reg_weight, params.sinh_arg_cap
+    tau, tau_reg = params.tau, params.reg_weight
     tol = params.picard_tol
 
     def residuals(u, w):
-        return _stencil_residuals(grid, tau, tau_reg, v.values, u, w, variant, cap)
+        return _stencil_residuals(grid, tau, tau_reg, v.values, u, w, variant)
 
     u = guess[0].values.copy()
     w = guess[1].values.copy()
@@ -677,7 +664,7 @@ def run(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Traj
     exponent field derived from it. Step k is newton_step started from the
     pair of step k - 1, and its record is accepted only when both stencil
     equations hold to the step tolerance. A failed step k, or a w_0 over the
-    cap (step 0), raises StepFailure, OverflowCapError or SolverFailure
+    variant's overflow bound (step 0), raises StepFailure, OverflowCapError or SolverFailure
     labelled by _at_step(k).
     """
     variant = variant or sinh_variant()
@@ -687,7 +674,7 @@ def run(u0: Field, params: SchemeParams, variant: Variant | None = None) -> Traj
 
     w0 = init_w0(u0, params, variant)
     with _at_step(0):
-        variant.check_cap(w0.values, params.sinh_arg_cap)
+        variant.check_cap(w0.values)
 
     records = [StepRecord(0, u0, w0, 0, 0.0)]
     u, w = u0, w0
@@ -718,7 +705,7 @@ def check_scheme(traj: Trajectory) -> list[float]:
     for prev, rec in zip(traj.records, traj.records[1:]):
         with _at_step(rec.k):
             res = _step_residual(traj.grid, params.tau, params.reg_weight, prev.u.values,
-                                 rec.u.values, rec.w.values, variant, params.sinh_arg_cap)
+                                 rec.u.values, rec.w.values, variant)
             if res > params.picard_tol:
                 raise StepFailure(f"stored fields leave residual {res:.3e} above "
                                   f"picard_tol = {params.picard_tol:.3e}", res)

@@ -50,8 +50,8 @@ UNUSABLE_CASES = {
     "tau-inf": ("tau", {"tau = 0.01": "tau = inf"}),
     "reg_eps-inf": ("reg_eps", {"tau = 0.01": "tau = 0.01\nreg_eps = inf"}),
     "horizon-inf": ("horizon", {"horizon = 0.05": "horizon = inf"}),
+    # the retired cap key is read only at the fixed bound, 700
     "cap-nan": ("sinh_arg_cap", {"tau = 0.01": "tau = 0.01\nsinh_arg_cap = nan"}),
-    # above ln(max double) sinh, cosh and exp overflow before the cap can bind
     "cap-over-overflow": ("sinh_arg_cap", {"tau = 0.01": "tau = 0.01\nsinh_arg_cap = 1000"}),
     "extent-inf": ("extent", {"nodes = 65": "nodes = 65\nextent = inf"}),
     "extent-nan": ("extent", {"nodes = 65": "nodes = 65\nextent = nan"}),
@@ -351,20 +351,35 @@ class TestVerifyCommand:
 
     def test_verify_legacy_normalized_key(self, tmp_path, capsys):
         # a scaled_sinh config.txt written while f = sinh(K s)/K was selected
-        # by "normalized = true" still verifies
+        # by "normalized = true", and while every config.txt carried the
+        # overflow bound as "sinh_arg_cap = 700", still verifies
         path = tmp_path / "scaled.cfg"
         path.write_text(_edited({"[output]": "[variant]\nkind = scaled_sinh\nK = 2\n\n[output]"}))
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
         config_txt = tmp_path / "demo" / "config.txt"
         text = config_txt.read_text()
-        legacy = text.replace("K = 2\n", "K = 2\nnormalized = true\n")
-        assert legacy != text
-        config_txt.write_text(legacy)
+
+        def legacy(cap):
+            edited = text.replace("K = 2\n", "K = 2\nnormalized = true\n").replace(
+                "picard_tol = 1e-10\n", f"picard_tol = 1e-10\nsinh_arg_cap = {cap}\n")
+            assert edited.count("\n") == text.count("\n") + 2
+            return edited
+
+        config_txt.write_text(legacy(700))
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 0
         out = capsys.readouterr().out
         assert out.count("true") == 3
         assert out == (tmp_path / "demo" / "reports.csv").read_text()
+        # the bound is fixed: any other cap is one violation naming it
+        for cap in ("50", "nan"):
+            config_txt.write_text(legacy(cap))
+            assert main(["verify", str(tmp_path / "demo")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["invalid configuration:",
+                           f"[scheme] sinh_arg_cap = {cap} is not supported; the overflow "
+                           "bound is fixed: 700 on |K w| for the sinh variants and on "
+                           "max w for exp, sqrt(max double) on |w| for linear"]
 
     def test_verify_rejects_corrupt_snapshot(self, config_path, tmp_path, capsys):
         main(["--output-root", str(tmp_path), "run", config_path])

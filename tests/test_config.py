@@ -145,7 +145,6 @@ mode = 1
 tau = 0.01
 horizon = 0.10000000000000001
 picard_tol = 1e-10
-sinh_arg_cap = 700
 [variant]
 kind = sinh
 [output]
@@ -163,8 +162,7 @@ TEXT_CASES = {
     ),
     "gaussian_bump": (
         "profile = gaussian_bump\namplitude = 0.3",
-        "profile = gaussian_bump\namplitude = 0.29999999999999999\n"
-        "width = 0.10000000000000001\n",
+        "profile = gaussian_bump\namplitude = 0.29999999999999999\nwidth = 0.5\n",
     ),
     "random_smooth": (
         "profile = random_smooth\namplitude = 0.4\nseed = 9",
@@ -184,10 +182,14 @@ TEXT_CASES = {
     "p_exponent": ("[variant]\nkind = p_exponent\np = 3\n", "kind = p_exponent\np = 3\n"),
     "linear": ("[variant]\nkind = linear\n", "kind = linear\n"),
     "scheme": (
-        "[scheme]\ntau = 0.005\nhorizon = 0.02\nreg_eps = 0.0001\npicard_tol = 1e-9\n"
-        "sinh_arg_cap = 50\n",
+        "[scheme]\ntau = 0.005\nhorizon = 0.02\nreg_eps = 0.0001\npicard_tol = 1e-9\n",
         "tau = 0.0050000000000000001\nhorizon = 0.02\nreg_eps = 0.0001\n"
-        "picard_tol = 1.0000000000000001e-09\nsinh_arg_cap = 50\n",
+        "picard_tol = 1.0000000000000001e-09\n",
+    ),
+    # every config.txt written before the overflow bound was fixed carries it
+    "legacy_cap": (
+        "[scheme]\ntau = 0.01\nhorizon = 0.1\nsinh_arg_cap = 700\n",
+        "tau = 0.01\nhorizon = 0.10000000000000001\npicard_tol = 1e-10\n",
     ),
     "output": (
         "[output]\ndirectory = elsewhere\nsnapshot_stride = 2\nreports = prop33, prop31\n",
@@ -217,6 +219,7 @@ class TestRoundTrip:
         [
             "",
             "\n[scheme]\ntau = 0.005\nhorizon = 0.02\nreg_eps = 0.0001\n",
+            "\n[scheme]\ntau = 0.005\nhorizon = 0.02\nsinh_arg_cap = 7e2\n",
             "\n[variant]\nkind = scaled_sinh\nK = 0.25\n",
             "\n[variant]\nkind = scaled_sinh\nK = 0.25\nnormalized = true\n",
             "\n[variant]\nkind = p_exponent\np = 3\n",

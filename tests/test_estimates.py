@@ -46,7 +46,7 @@ class TestCoshEnergy:
 
     def test_cap_enforced(self, grid1d):
         with pytest.raises(OverflowCapError):
-            sinh_variant().check_cap(Field.constant(grid1d, 800.0).values, 700.0)
+            sinh_variant().check_cap(Field.constant(grid1d, 800.0).values)
 
 
 @pytest.fixture(scope="module")

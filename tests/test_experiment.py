@@ -10,7 +10,7 @@ import pytest
 from crystalflow import estimates, stepper
 from crystalflow.config import build_initial_field, parse_config
 from crystalflow.experiment import _reload_run, compare_variants, run_experiment, sweep
-from crystalflow.nonlinearity import make_variant
+from crystalflow.nonlinearity import EXP_ARG_BOUND, make_variant
 
 BASE = """
 [grid]
@@ -267,7 +267,7 @@ class TestRunExperiment:
         cfg = make_cfg(**{**self._LARGE_LINEAR, "amplitude = 0.1": "amplitude = 800"})
         result = run_experiment(cfg, tmp_path)
         assert result.ok, result.error
-        assert result.trajectory.records[0].w.values.max() > cfg.scheme.sinh_arg_cap
+        assert result.trajectory.records[0].w.values.max() > EXP_ARG_BOUND
         assert [rep.name for rep in result.reports] == ["prop31", "prop32", "prop33"]
         assert all(rep.passed for rep in result.reports)
 

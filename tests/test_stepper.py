@@ -38,7 +38,9 @@ class TestSchemeParams:
         assert p.num_steps == 10
         assert p.reg_weight == 0.01
         assert p.picard_tol == 1e-10
-        assert p.sinh_arg_cap == 700.0
+        # the overflow bound is the variant's own (Variant.check_cap)
+        with pytest.raises(TypeError):
+            SchemeParams(tau=0.01, horizon=0.1, sinh_arg_cap=700.0)
 
     def test_decoupled_reg_weight(self):
         p = SchemeParams(tau=0.01, horizon=0.1, reg_eps=1e-4)
@@ -59,10 +61,6 @@ class TestSchemeParams:
             {"tau": float("inf"), "horizon": 1.0},
             {"tau": 0.1, "horizon": 1.0, "reg_eps": float("inf")},
             {"tau": 0.1, "horizon": float("inf")},
-            {"tau": 0.1, "horizon": 1.0, "sinh_arg_cap": float("nan")},
-            {"tau": 0.1, "horizon": 1.0, "sinh_arg_cap": 0.0},
-            # above ln(max double) = 709.78 sinh, cosh and exp overflow
-            {"tau": 0.1, "horizon": 1.0, "sinh_arg_cap": 1000.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -112,7 +110,7 @@ class TestFixedPointStep:
         assert diag.residual_inf <= params.picard_tol
 
     def test_overflow_raises(self, grid1d):
-        params = SchemeParams(tau=0.01, horizon=0.1, sinh_arg_cap=700.0)
+        params = SchemeParams(tau=0.01, horizon=0.1)
         v = Field.from_function(grid1d, lambda x: 200.0 * np.cos(np.pi * x))
         with pytest.raises(OverflowCapError):
             fixed_point_step(v, params, init_w0(v, params))
@@ -142,7 +140,7 @@ class TestFixedPointStep:
         assert diag.residual_inf <= params.picard_tol
         # the returned pair itself satisfies both stencil equations
         res = stepper._step_residual(
-            grid1d, params.tau, params.reg_weight, v.values, u.values, w.values, variant, 700.0
+            grid1d, params.tau, params.reg_weight, v.values, u.values, w.values, variant
         )
         assert res <= params.picard_tol
 
@@ -212,7 +210,7 @@ class TestNewtonStep:
     def test_exact_guess_converges_immediately(self, grid1d):
         params = SchemeParams(tau=0.01, horizon=0.1)
         v = _random_smooth(grid1d, 0.2, seed=13)
-        u, w, _ = fixed_point_step(v, params, init_w0(v, params))
+        u, w, _ = newton_step(v, params, (v, init_w0(v, params)))
         _, _, diag = newton_step(v, params, (u, w))
         assert len(diag.residual_history) <= 2
 
@@ -347,7 +345,7 @@ class TestNewtonStep:
         assert diag.newton_used
         assert diag.residual_inf <= params.picard_tol
         res = stepper._step_residual(
-            grid1d, params.tau, params.reg_weight, v.values, u.values, w.values, variant, 700.0
+            grid1d, params.tau, params.reg_weight, v.values, u.values, w.values, variant
         )
         assert res <= params.picard_tol
         slopes = _tail_slopes(diag.residual_history)
@@ -822,7 +820,7 @@ class TestRun:
         assert 0.5 <= (dev[99] / dev[49]) / (c[100] / c[50]) ** 2 <= 2.0
 
     def test_step_failure_annotated_with_index(self, grid1d):
-        params = SchemeParams(tau=0.01, horizon=0.1, sinh_arg_cap=700.0)
+        params = SchemeParams(tau=0.01, horizon=0.1)
         u0 = Field.from_function(grid1d, lambda x: 200.0 * np.cos(np.pi * x))
         with pytest.raises(OverflowCapError) as exc:
             run(u0, params)
@@ -834,7 +832,7 @@ class TestRun:
         u0 = Field.from_function(grid, lambda x: 20.0 * np.cos(8 * np.pi * x))
         with pytest.raises(OverflowCapError) as exc:
             run(u0, SchemeParams(tau=0.01, horizon=0.1))
-        assert str(exc.value).startswith("step 0: |argument| = 12471.8 exceeds sinh_arg_cap")
+        assert str(exc.value).startswith("step 0: |argument| = 12471.8 exceeds the overflow bound = 700")
 
     def test_exp_variant_runs(self, grid1d):
         params = SchemeParams(tau=0.01, horizon=0.05)
@@ -892,17 +890,17 @@ class TestVariantFactories:
 
     def test_exp_cap_is_one_sided(self):
         # e^w cannot overflow for negative w, sinh(w) can
-        make_variant("exp").check_cap(np.array([-800.0]), 700.0)
+        make_variant("exp").check_cap(np.array([-800.0]))
         for variant in (make_variant("exp"), sinh_variant()):
             with pytest.raises(OverflowCapError):
-                variant.check_cap(np.array([800.0]), 700.0)
+                variant.check_cap(np.array([800.0]))
         with pytest.raises(OverflowCapError):
-            sinh_variant().check_cap(np.array([-800.0]), 700.0)
+            sinh_variant().check_cap(np.array([-800.0]))
 
     def test_sinh_cap_check(self):
         v = sinh_variant()
         with pytest.raises(OverflowCapError) as exc, _at_step(3):
-            v.check_cap(np.array([800.0]), 700.0)
+            v.check_cap(np.array([800.0]))
         assert exc.value.step_index == 3
         assert exc.value.max_abs == 800.0
 
@@ -916,4 +914,4 @@ class TestVariantFactories:
     def test_scaled_cap_uses_scaled_argument(self):
         v = make_variant("scaled_sinh", K=2.0)
         with pytest.raises(OverflowCapError):
-            v.check_cap(np.array([400.0]), 700.0)
+            v.check_cap(np.array([400.0]))
