@@ -84,8 +84,8 @@ class SchemeParams:
     the regularization weight in both zero-order terms; a positive reg_eps
     decouples them so the timestep can be refined at fixed regularization.
     picard_tol bounds the sup-norm of both stencil residuals of an accepted
-    step. The overflow bound on the exponent's argument is the variant's
-    own (Variant.check_cap), not a parameter.
+    step. The bound on the exponent's argument is the variant's own
+    (Variant.check_cap).
     """
 
     tau: float
