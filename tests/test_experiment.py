@@ -3,12 +3,16 @@
 import csv
 import hashlib
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from crystalflow import estimates, stepper
+from crystalflow import estimates, experiment, spectral, stepper
 from crystalflow.config import build_initial_field, parse_config
+from crystalflow.exceptions import ArgumentError
 from crystalflow.experiment import _reload_run, compare_variants, run_experiment, sweep
 from crystalflow.nonlinearity import EXP_ARG_BOUND, make_variant
 
@@ -329,14 +333,72 @@ class TestSweep:
         with pytest.raises(ValueError, match="sweep parameter"):
             sweep(make_cfg(), "nodes", [33], output_root=tmp_path)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = make_cfg()
-        serial = sweep(cfg, "tau", [0.01, 0.005], output_root=tmp_path / "s", workers=1)
-        parallel = sweep(cfg, "tau", [0.01, 0.005], output_root=tmp_path / "p", workers=2)
-        for a, b in zip(serial, parallel):
-            fa = (a.directory / "trajectory.csv").read_bytes()
-            fb = (b.directory / "trajectory.csv").read_bytes()
-            assert fa == fb
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        """Threads that start on the same cold caches (one reg_eps, so one
+        B^-1 factor), switching often, two of them and more than the cores,
+        write the bytes of a serial sweep: every file of every run directory,
+        the manifest but for its wall time, and the summary."""
+        monkeypatch.setattr(experiment, "_THREADS_MIN_NODES", 0)
+        cfg = make_cfg(**{
+            "dim = 1\nnodes = 65": "dim = 2\nnodes = 9,9",
+            "horizon = 0.1": "horizon = 0.04\nreg_eps = 0.01",
+            "directory = demo": "directory = demo\nsnapshot_stride = 2",
+        })
+        # the longest run first, so that runs end out of order on threads
+        values = [0.0025, 0.005, 0.01, 0.02]
+
+        def sweep_files(workers):
+            for cached in (stepper._helmholtz_inverse, stepper._direction_multipliers,
+                           spectral._dct1_matrix, spectral.eigenvalues):
+                cached.cache_clear()
+            root = tmp_path / f"workers_{workers}"
+            results = sweep(cfg, "tau", values, output_root=root, workers=workers)
+            assert [r.ok for r in results] == [True] * len(values)
+            assert [r.directory.name for r in results] == [f"tau_{v:g}" for v in values]
+            files = {}
+            for path in sorted(p for p in root.rglob("*") if p.is_file()):
+                content = path.read_bytes()
+                if path.name == "manifest.json":
+                    content = json.loads(content)
+                    del content["wall_clock_seconds"]
+                files[str(path.relative_to(root))] = content
+            return files
+
+        serial = sweep_files(1)
+        assert len([name for name in serial if name.endswith("manifest.json")]) == len(values)
+        assert "sweep_summary.csv" in serial
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, len(values)):
+                assert sweep_files(workers) == serial, workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("min_nodes, on_pool", [(0, True), (66, False)])
+    def test_parallel_runs_in_the_calling_process(self, tmp_path, monkeypatch,
+                                                  min_nodes, on_pool):
+        """workers = 2 runs every value in this process: on pool threads from
+        _THREADS_MIN_NODES grid nodes up, else in the calling thread (the
+        grid has 65 nodes)."""
+        where = []
+
+        def recording(cfg, output_root=None):
+            where.append((os.getpid(), threading.current_thread() is threading.main_thread()))
+            return run_experiment(cfg, output_root)
+
+        monkeypatch.setattr(experiment, "_THREADS_MIN_NODES", min_nodes)
+        monkeypatch.setattr(experiment, "run_experiment", recording)
+        results = sweep(make_cfg(), "tau", [0.02, 0.01, 0.005], output_root=tmp_path, workers=2)
+        assert all(r.ok for r in results)
+        assert where == [(os.getpid(), not on_pool)] * 3
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_refused_before_any_directory(self, tmp_path, workers):
+        root = tmp_path / "root"
+        with pytest.raises(ArgumentError, match=f"workers must be at least 1, got {workers}"):
+            sweep(make_cfg(), "tau", [0.02, 0.01], output_root=root, workers=workers)
+        assert not root.exists()
 
 
 class TestCompare:
