@@ -7,11 +7,10 @@ Newton and PCG iteration totals (null when no trajectory was made).
 Failures keep whatever was produced and mark the manifest FAILED so
 partial output is never mistaken for a clean run.
 
-A sweep or a comparison is a batch of runs in one process: in the calling
-thread, or for a sweep on a large grid on a pool of threads that share the
-process's imports and read-only caches (factors, transform matrices,
-quadrature weights). Nothing is copied between the runs, and each writes
-only its own directory.
+A sweep or a comparison is a batch of runs, one after another in the
+calling thread. They share the process's imports and read-only caches
+(factors, transform matrices, quadrature weights), and each writes only
+its own directory.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +46,6 @@ __all__ = [
     "sweep",
     "compare_variants",
 ]
-
-# Grids with fewer nodes run a batch in the calling thread whatever workers
-# is. Their steps are mostly short array operations under the interpreter
-# lock, which threads on two CPUs pass back and forth. Measured on a 2-vCPU
-# VM, one BLAS thread, 4-value tau sweeps, two threads against one: with
-# each thread on its own CPU they took 1.4-1.7x as long on 2-D 33^2, about
-# 1.05x on 65^2 and 0.8-0.85x on 129^2; sharing one CPU, never less than 1x.
-_THREADS_MIN_NODES = 10_000
 
 
 @dataclasses.dataclass
@@ -269,14 +259,9 @@ def _run_batch(
     cfg: ExperimentConfig, param: str, values, output_root, workers: int = 1
 ) -> tuple[Path, list[ExperimentResult]]:
     """Run cfg once per value of param (tau, reg_eps or variant), each in its
-    own subdirectory (_with_param) of the root; returns (root, results) in
-    the order of values.
-
-    workers is the most runs at once. With workers > 1 on a grid of at
-    least _THREADS_MIN_NODES nodes, they run on a pool of that many threads
-    in this process, which share its caches; interrupted, the pool starts no
-    queued run and lets the runs in progress finish. Otherwise they run one
-    after another in the calling thread.
+    own subdirectory (_with_param) of the root, one after another in the
+    calling thread; returns (root, results) in the order of values. workers
+    is checked but runs nothing in parallel (ROADMAP item 22).
 
     The root is output_root when given, in place of the configured output
     directory. Every value is checked, and the root and every run directory
@@ -302,12 +287,8 @@ def _run_batch(
     _make_dir(root)
     for sub_cfg in sub_cfgs:
         _make_dir(root / sub_cfg.output.directory)
-
     # run_experiment is looked up here, not at import, so a wrapper bound to
     # the module global (perfbench/tracing.py) sees every run
-    if workers > 1 and cfg.grid.num_nodes >= _THREADS_MIN_NODES:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return root, list(pool.map(run_experiment, sub_cfgs, [root] * len(sub_cfgs)))
     return root, [run_experiment(sub_cfg, root) for sub_cfg in sub_cfgs]
 
 
@@ -324,12 +305,11 @@ def sweep(
     convergence.
 
     _run_batch picks the root, checks every value and workers and makes
-    every run directory <param>_<value:g> before the first run; it runs at
-    most workers values at once, on threads of this process on large grids.
-    The root holds sweep_summary.csv: per consecutive pair of runs, the
-    final-time L2 difference and the observed order log2 of the ratio of
-    successive differences, which is the self-convergence rate when values
-    halve.
+    every run directory <param>_<value:g> before the first run; the values
+    run one after another whatever workers is. The root holds
+    sweep_summary.csv: per consecutive pair of runs, the final-time L2
+    difference and the observed order log2 of the ratio of successive
+    differences, which is the self-convergence rate when values halve.
     """
     if param not in ("tau", "reg_eps"):
         raise ArgumentError(f"unsupported sweep parameter {param!r}; use tau or reg_eps")

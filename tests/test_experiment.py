@@ -4,7 +4,6 @@ import csv
 import hashlib
 import json
 import os
-import sys
 import threading
 
 import numpy as np
@@ -333,18 +332,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="sweep parameter"):
             sweep(make_cfg(), "nodes", [33], output_root=tmp_path)
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        """Threads that start on the same cold caches (one reg_eps, so one
-        B^-1 factor), switching often, two of them and more than the cores,
-        write the bytes of a serial sweep: every file of every run directory,
-        the manifest but for its wall time, and the summary."""
-        monkeypatch.setattr(experiment, "_THREADS_MIN_NODES", 0)
+    def test_parallel_matches_serial(self, tmp_path):
+        """workers > 1 writes the bytes of workers = 1, each sweep from cold
+        caches: every file of every run directory, the manifest but for its
+        wall time, and the summary."""
         cfg = make_cfg(**{
             "dim = 1\nnodes = 65": "dim = 2\nnodes = 9,9",
             "horizon = 0.1": "horizon = 0.04\nreg_eps = 0.01",
             "directory = demo": "directory = demo\nsnapshot_stride = 2",
         })
-        # the longest run first, so that runs end out of order on threads
         values = [0.0025, 0.005, 0.01, 0.02]
 
         def sweep_files(workers):
@@ -367,31 +363,23 @@ class TestSweep:
         serial = sweep_files(1)
         assert len([name for name in serial if name.endswith("manifest.json")]) == len(values)
         assert "sweep_summary.csv" in serial
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (2, len(values)):
-                assert sweep_files(workers) == serial, workers
-        finally:
-            sys.setswitchinterval(interval)
+        assert sweep_files(2) == serial
 
-    @pytest.mark.parametrize("min_nodes, on_pool", [(0, True), (66, False)])
-    def test_parallel_runs_in_the_calling_process(self, tmp_path, monkeypatch,
-                                                  min_nodes, on_pool):
-        """workers = 2 runs every value in this process: on pool threads from
-        _THREADS_MIN_NODES grid nodes up, else in the calling thread (the
-        grid has 65 nodes)."""
+    def test_parallel_runs_in_the_calling_process(self, tmp_path, monkeypatch):
+        """workers = 2 runs every value in this process and its calling
+        thread, in the order of the values."""
         where = []
 
         def recording(cfg, output_root=None):
-            where.append((os.getpid(), threading.current_thread() is threading.main_thread()))
+            where.append((os.getpid(), threading.current_thread() is threading.main_thread(),
+                          cfg.scheme.tau))
             return run_experiment(cfg, output_root)
 
-        monkeypatch.setattr(experiment, "_THREADS_MIN_NODES", min_nodes)
         monkeypatch.setattr(experiment, "run_experiment", recording)
-        results = sweep(make_cfg(), "tau", [0.02, 0.01, 0.005], output_root=tmp_path, workers=2)
+        values = [0.02, 0.01, 0.005]
+        results = sweep(make_cfg(), "tau", values, output_root=tmp_path, workers=2)
         assert all(r.ok for r in results)
-        assert where == [(os.getpid(), not on_pool)] * 3
+        assert where == [(os.getpid(), True, tau) for tau in values]
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_refused_before_any_directory(self, tmp_path, workers):
