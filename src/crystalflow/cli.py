@@ -29,7 +29,9 @@ is prepended to the configured output directory for `run`, which must
 then be relative. For `sweep` and `compare` it takes the place of the
 configured directory: the run directories (<param>_<value>/,
 variant_<name>/) and the summary CSV go straight under it, so
-`--output-root R sweep cfg` writes R/tau_0.01/.
+`--output-root R sweep cfg` writes R/tau_0.01/. An empty value is unset:
+`--output-root ""` falls back to the variable, an empty variable to the
+configured directory.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ OUTPUT_ROOT_ENV = "CRYSTALFLOW_OUTPUT_ROOT"
 
 
 def _output_root(args):
-    if args.output_root is not None:
-        return args.output_root
-    return os.environ.get(OUTPUT_ROOT_ENV)
+    """--output-root, else $CRYSTALFLOW_OUTPUT_ROOT; an empty value is unset."""
+    return args.output_root or os.environ.get(OUTPUT_ROOT_ENV) or None
 
 
 def _load_config(path: str):

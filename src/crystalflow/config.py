@@ -239,6 +239,7 @@ def parse_config(text) -> ExperimentConfig:
             raise ConfigError(
                 [f"not UTF-8 text: byte 0x{text[err.start]:02x} at offset {err.start}"]
             ) from None
+    text = text.removeprefix("\ufeff")  # one UTF-8 byte-order mark, as some editors save
     violations: list = []
     sections = _raw_sections(text, violations)
     for name in ("grid", "initial"):

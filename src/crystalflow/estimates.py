@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .grid import FLOAT_FMT, _grad_sq, laplacian_matrix
+from .grid import _grad_sq, csv_line, laplacian_matrix
 from .stepper import Trajectory
 
 __all__ = [
@@ -381,16 +381,13 @@ def p_variant_energy(traj: Trajectory) -> EstimateReport:
 
 
 def write_reports_csv(reports: list[EstimateReport], stream: io.TextIOBase) -> None:
-    stream.write("name,lhs,rhs,margin,pass\n")
+    stream.write(csv_line(("name", "lhs", "rhs", "margin", "pass")))
     for rep in reports:
-        stream.write(
-            f"{rep.name},{FLOAT_FMT % rep.lhs},{FLOAT_FMT % rep.rhs},"
-            f"{FLOAT_FMT % rep.margin},{str(rep.passed).lower()}\n"
-        )
+        stream.write(csv_line((rep.name, rep.lhs, rep.rhs, rep.margin, str(rep.passed).lower())))
 
 
 def write_terms_csv(reports: list[EstimateReport], stream: io.TextIOBase) -> None:
-    stream.write("name,term,value\n")
+    stream.write(csv_line(("name", "term", "value")))
     for rep in reports:
         for term, value in rep.terms.items():
-            stream.write(f"{rep.name},{term},{FLOAT_FMT % value}\n")
+            stream.write(csv_line((rep.name, term, value)))

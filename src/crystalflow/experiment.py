@@ -2,8 +2,9 @@
 
 Every run writes a self-contained directory: the canonical config text,
 a per-step trajectory CSV, estimate report CSVs, optional field snapshots
-and a manifest listing each artifact with its content hash and the run's
-Newton and PCG iteration totals (null when no trajectory was made).
+and a manifest listing each file the run wrote with its content hash and
+the run's Newton and PCG iteration totals (null when no trajectory was
+made). Other files in the directory are neither listed nor removed.
 Failures keep whatever was produced and mark the manifest FAILED so
 partial output is never mistaken for a clean run.
 
@@ -35,7 +36,7 @@ from .estimates import (
     write_terms_csv,
 )
 from .exceptions import ArgumentError, CrystalflowError
-from .grid import FLOAT_FMT, load_field, save_field
+from .grid import csv_line, load_field, save_field
 from .nonlinearity import make_variant
 from .stepper import StepRecord, Trajectory, check_scheme, run
 
@@ -61,10 +62,6 @@ class ExperimentResult:
         return self.exit_code == 0
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _make_dir(path: Path) -> None:
     """Make path with its parents; ArgumentError naming it when it cannot be."""
     try:
@@ -73,47 +70,49 @@ def _make_dir(path: Path) -> None:
         raise ArgumentError(f"cannot make output directory {path}: {err.strerror}") from None
 
 
-def _clear_earlier_run(out_dir: Path) -> None:
-    """Remove what an earlier run wrote to out_dir under the names a run
-    writes, so that a manifest lists only its own run's files."""
-    for name in ("trajectory.csv", "reports.csv", "report_terms.csv", "manifest.json"):
-        (out_dir / name).unlink(missing_ok=True)
-    fields_dir = out_dir / "fields"
-    if fields_dir.is_dir():
-        for path in fields_dir.glob("[uw]_*.csv"):
-            path.unlink()
+# The files a run writes in its directory: these five, and in FIELDS the u
+# and w snapshots that _snapshot names. The clean-up of an earlier run, the
+# manifest and _reload_run take their names from here alone.
+RUN_FILES = CONFIG, TRAJECTORY, REPORTS, TERMS, MANIFEST = (
+    "config.txt", "trajectory.csv", "reports.csv", "report_terms.csv", "manifest.json")
+FIELDS = "fields"
+
+
+def _snapshot(kind: str, k: int) -> str:
+    """The name in FIELDS of the snapshot of u or w (kind) at step k."""
+    return f"{kind}_{k:06d}.csv"
+
+
+def _run_files(out_dir: Path) -> list[str]:
+    """The files in out_dir that a run writes, relative to it."""
+    names = [name for name in RUN_FILES if (out_dir / name).is_file()]
+    for path in (out_dir / FIELDS).glob("[uw]_*.csv"):
+        step = path.stem[2:]
+        if step.isdecimal() and path.name == _snapshot(path.name[0], int(step)) and path.is_file():
+            names.append(f"{FIELDS}/{path.name}")
+    return names
 
 
 def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     monitors = continuum_monitors(traj)
     measure = traj.grid.measure
     with open(path, "w", newline="\n") as fh:
-        fh.write(
-            "k,t,newton_iters,residual_inf,"
-            "u_mean,mass,dirichlet,cosh_energy,l2_time_derivative,w_sup\n"
-        )
+        fh.write(csv_line(("k", "t", "newton_iters", "residual_inf", "u_mean", "mass",
+                           "dirichlet", "cosh_energy", "l2_time_derivative", "w_sup")))
         for k, rec in enumerate(traj.records):
-            row = [
-                str(k),
-                FLOAT_FMT % monitors.t[k],
-                str(rec.newton_iters),
-                FLOAT_FMT % rec.residual_inf,
-                FLOAT_FMT % (monitors.mass[k] / measure),
-                FLOAT_FMT % monitors.mass[k],
-                FLOAT_FMT % monitors.dirichlet[k],
-                FLOAT_FMT % monitors.cosh_energy[k],
-                FLOAT_FMT % monitors.l2_time_derivative[k],
-                FLOAT_FMT % monitors.w_sup[k],
-            ]
-            fh.write(",".join(row) + "\n")
+            fh.write(csv_line((
+                k, monitors.t[k], rec.newton_iters, rec.residual_inf,
+                monitors.mass[k] / measure, monitors.mass[k], monitors.dirichlet[k],
+                monitors.cosh_energy[k], monitors.l2_time_derivative[k], monitors.w_sup[k],
+            )))
 
 
 def _write_snapshots(traj: Trajectory, fields_dir: Path, stride: int) -> None:
     fields_dir.mkdir(exist_ok=True)
     for rec in traj.records:
         if rec.k % stride == 0 or rec.k == traj.num_steps:
-            save_field(rec.u, fields_dir / f"u_{rec.k:06d}.csv")
-            save_field(rec.w, fields_dir / f"w_{rec.k:06d}.csv")
+            save_field(rec.u, fields_dir / _snapshot("u", rec.k))
+            save_field(rec.w, fields_dir / _snapshot("w", rec.k))
 
 
 def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
@@ -122,28 +121,27 @@ def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
     config.txt alone gives the grid: every snapshot is read on it, and one
     whose header states another grid raises SnapshotFormatError.
     """
-    config_path = directory / "config.txt"
+    config_path = directory / CONFIG
     try:
         config_bytes = config_path.read_bytes()
     except OSError as err:
         raise CrystalflowError(f"{config_path}: cannot read the run config: {err.strerror}") from err
     cfg = parse_config(config_bytes)
-    fields_dir = directory / "fields"
+    fields_dir = directory / FIELDS
     if not fields_dir.is_dir():
         raise CrystalflowError(
             f"{directory} has no fields/ snapshots; re-run with snapshot_stride = 1 to verify"
         )
     records = []
     for k in range(cfg.scheme.num_steps + 1):
-        u_path = fields_dir / f"u_{k:06d}.csv"
+        u_path = fields_dir / _snapshot("u", k)
         if not u_path.is_file():
             raise CrystalflowError(
                 f"{u_path} is missing; verification needs every step (snapshot_stride = 1)"
             )
-        w_path = fields_dir / f"w_{k:06d}.csv"
-        records.append(
-            StepRecord(k, load_field(u_path, cfg.grid), load_field(w_path, cfg.grid), 0, 0.0)
-        )
+        u = load_field(u_path, cfg.grid)
+        w = load_field(fields_dir / _snapshot("w", k), cfg.grid)
+        records.append(StepRecord(k, u, w, 0, 0.0))
     return cfg, Trajectory(cfg.scheme, cfg.grid, cfg.variant, records)
 
 
@@ -173,11 +171,11 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
 
     output_root, when given, is prepended to the configured output
     directory, which must then be relative; an absolute one under a root,
-    or a directory that cannot be made, raises ArgumentError. What
-    an earlier run left there under the names a run writes is removed
-    first. Returns exit code 0 on a clean run, 1 when the step solver or
-    an estimate check raised; the directory then contains a FAILED
-    manifest along with any partial artifacts.
+    or a directory that cannot be made, raises ArgumentError. The files an
+    earlier run wrote there are removed first, and the manifest lists the
+    files this run wrote (_run_files). Returns exit code 0 on a clean run,
+    1 when the step solver or an estimate check raised; the directory then
+    contains a FAILED manifest along with any partial artifacts.
     """
     out_dir = Path(cfg.output.directory)
     if output_root is not None:
@@ -188,10 +186,11 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
             )
         out_dir = Path(output_root) / out_dir
     _make_dir(out_dir)
-    _clear_earlier_run(out_dir)
+    for name in _run_files(out_dir):
+        (out_dir / name).unlink()
 
     config_text = config_to_text(cfg)
-    (out_dir / "config.txt").write_text(config_text, newline="\n")
+    (out_dir / CONFIG).write_text(config_text, newline="\n")
 
     started = time.time()
     traj = None
@@ -200,24 +199,22 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
     try:
         u0 = build_initial_field(cfg)
         traj = run(u0, cfg.scheme, cfg.variant)
-        _write_trajectory_csv(traj, out_dir / "trajectory.csv")
+        _write_trajectory_csv(traj, out_dir / TRAJECTORY)
         if cfg.output.snapshot_stride > 0:
-            _write_snapshots(traj, out_dir / "fields", cfg.output.snapshot_stride)
+            _write_snapshots(traj, out_dir / FIELDS, cfg.output.snapshot_stride)
         reports = _applicable_reports(cfg, traj)
-        with open(out_dir / "reports.csv", "w", newline="\n") as fh:
+        with open(out_dir / REPORTS, "w", newline="\n") as fh:
             write_reports_csv(reports, fh)
-        with open(out_dir / "report_terms.csv", "w", newline="\n") as fh:
+        with open(out_dir / TERMS, "w", newline="\n") as fh:
             write_terms_csv(reports, fh)
     except CrystalflowError as err:
         error = f"{type(err).__name__}: {err}"
 
     failed_reports = [rep.name for rep in reports if not rep.passed]
     status = "FAILED" if (error or failed_reports) else "OK"
-    artifacts = {
-        str(p.relative_to(out_dir)): _sha256(p)
-        for p in sorted(out_dir.rglob("*"))
-        if p.is_file() and p.name != "manifest.json"
-    }
+    # the earlier run's manifest was removed above and this one is not yet written
+    artifacts = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                 for name in _run_files(out_dir)}
     manifest = {
         "status": status,
         "error": error,
@@ -233,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
         "newton_iterations": None if traj is None else sum(r.newton_iters for r in traj.records),
         "cg_iterations": None if traj is None else sum(r.cg_iters for r in traj.records),
     }
-    (out_dir / "manifest.json").write_text(
+    (out_dir / MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n"
     )
     exit_code = 0 if status == "OK" else 1
@@ -256,21 +253,18 @@ def _with_param(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
 
 
 def _run_batch(
-    cfg: ExperimentConfig, param: str, values, output_root, workers: int = 1
+    cfg: ExperimentConfig, param: str, values, output_root
 ) -> tuple[Path, list[ExperimentResult]]:
     """Run cfg once per value of param (tau, reg_eps or variant), each in its
     own subdirectory (_with_param) of the root, one after another in the
-    calling thread; returns (root, results) in the order of values. workers
-    is checked but runs nothing in parallel (ROADMAP item 22).
+    calling thread; returns (root, results) in the order of values.
 
     The root is output_root when given, in place of the configured output
     directory. Every value is checked, and the root and every run directory
-    made, before the first run: workers < 1, no values, a value no run can
-    use, two values naming one run directory, or a directory that cannot be
-    made raises ArgumentError.
+    made, before the first run: no values, a value no run can use, two
+    values naming one run directory, or a directory that cannot be made
+    raises ArgumentError.
     """
-    if workers < 1:
-        raise ArgumentError(f"workers must be at least 1, got {workers!r}")
     if len(values) == 0:
         raise ArgumentError(f"no {param} values to run")
     sub_cfgs = [_with_param(cfg, param, value) for value in values]
@@ -304,16 +298,19 @@ def sweep(
     """Run the config once per value of param (tau or reg_eps) and summarize
     convergence.
 
-    _run_batch picks the root, checks every value and workers and makes
-    every run directory <param>_<value:g> before the first run; the values
-    run one after another whatever workers is. The root holds
+    workers < 1 raises ArgumentError before any directory is made; the
+    values run one after another whatever workers is (ROADMAP item 22).
+    _run_batch picks the root, checks every value and makes every run
+    directory <param>_<value:g> before the first run. The root holds
     sweep_summary.csv: per consecutive pair of runs, the final-time L2
     difference and the observed order log2 of the ratio of successive
     differences, which is the self-convergence rate when values halve.
     """
     if param not in ("tau", "reg_eps"):
         raise ArgumentError(f"unsupported sweep parameter {param!r}; use tau or reg_eps")
-    root, results = _run_batch(cfg, param, values, output_root, workers)
+    if workers < 1:
+        raise ArgumentError(f"workers must be at least 1, got {workers!r}")
+    root, results = _run_batch(cfg, param, values, output_root)
 
     diffs = []
     for a, b in zip(results[:-1], results[1:]):
@@ -322,14 +319,12 @@ def sweep(
         else:
             diffs.append(float("nan"))
     with open(root / "sweep_summary.csv", "w", newline="\n") as fh:
-        fh.write(f"{param},final_l2_diff_to_next,observed_order\n")
+        fh.write(csv_line((param, "final_l2_diff_to_next", "observed_order")))
         for i, value in enumerate(map(float, values)):
-            diff = FLOAT_FMT % diffs[i] if i < len(diffs) else ""
-            if 1 <= i < len(diffs) and diffs[i] > 0 and np.isfinite(diffs[i - 1]):
-                order = FLOAT_FMT % np.log2(diffs[i - 1] / diffs[i])
-            else:
-                order = ""
-            fh.write(f"{FLOAT_FMT % value},{diff},{order}\n")
+            diff = diffs[i] if i < len(diffs) else ""
+            has_order = 1 <= i < len(diffs) and diffs[i] > 0 and np.isfinite(diffs[i - 1])
+            order = np.log2(diffs[i - 1] / diffs[i]) if has_order else ""
+            fh.write(csv_line((value, diff, order)))
     return results
 
 
@@ -356,10 +351,10 @@ def compare_variants(
             header = ["t"]
             for name in monitors:
                 header += [f"w_sup_{name}", f"energy_{name}"]
-            fh.write(",".join(header) + "\n")
+            fh.write(csv_line(header))
             for k in range(n):
-                row = [FLOAT_FMT % (k * cfg.scheme.tau)]
+                row = [k * cfg.scheme.tau]
                 for mon in monitors.values():
-                    row += [FLOAT_FMT % mon.w_sup[k], FLOAT_FMT % mon.cosh_energy[k]]
-                fh.write(",".join(row) + "\n")
+                    row += [mon.w_sup[k], mon.cosh_energy[k]]
+                fh.write(csv_line(row))
     return results

@@ -48,6 +48,11 @@ __all__ = [
 FLOAT_FMT = "%.17g"
 
 
+def csv_line(cells) -> str:
+    """One CSV line of cells: a float in FLOAT_FMT, any other cell with str, ended by LF."""
+    return ",".join([FLOAT_FMT % c if isinstance(c, float) else str(c) for c in cells]) + "\n"
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform node-centered grid on a box.
@@ -276,9 +281,7 @@ def _header(grid: Grid) -> str:
 def save_field(f: Field, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(_header(f.grid))
-        for v in f.values:
-            fh.write(FLOAT_FMT % v)
-            fh.write("\n")
+        fh.write("".join(map(csv_line, zip(f.values.tolist()))))
 
 
 def load_field(path, grid: Grid) -> Field:

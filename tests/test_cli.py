@@ -530,6 +530,29 @@ def test_output_directory_that_cannot_be_made_exit_2(
     assert path.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("empty", ["option", "env"])
+@pytest.mark.parametrize(
+    "args", [["sweep", "--values", "0.01", "0.005"], ["compare"]], ids=["sweep", "compare"]
+)
+def test_empty_output_root_is_unset(args, empty, config_path, tmp_path, monkeypatch, capsys):
+    """An empty --output-root or CRYSTALFLOW_OUTPUT_ROOT counts as unset:
+    the batch goes to the configured directory, not the working directory."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if empty == "env":
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, "")
+        option = []
+    else:
+        monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
+        option = ["--output-root", ""]
+    command, *options = args
+    assert main([*option, command, config_path, *options]) == 0
+    assert [p.name for p in work.iterdir()] == ["demo"]
+    summary = "sweep_summary.csv" if command == "sweep" else "variant_comparison.csv"
+    assert (work / "demo" / summary).is_file()
+
+
 def _module_cli(*args):
     """`python -m crystalflow.cli` in a fresh interpreter on this checkout's src."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

@@ -48,6 +48,17 @@ class TestParsing:
             parse_config(data[:10] + b"\xff" + data[10:])
         assert exc.value.violations == ["not UTF-8 text: byte 0xff at offset 10"]
 
+    def test_byte_order_mark_dropped(self):
+        """A config saved with a UTF-8 byte-order mark parses as the same
+        text without it; a byte that is not UTF-8 is still named by its
+        offset in the file, the mark's three bytes included."""
+        data = MINIMAL.encode("utf-8")
+        assert parse_config(b"\xef\xbb\xbf" + data) == parse_config(data)
+        assert parse_config("\ufeff" + MINIMAL) == parse_config(MINIMAL)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(b"\xef\xbb\xbf" + data[:10] + b"\xff" + data[10:])
+        assert exc.value.violations == ["not UTF-8 text: byte 0xff at offset 13"]
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# leading comment\n" + MINIMAL.replace(
             "amplitude = 0.1", "amplitude = 0.1  # inline"

@@ -102,6 +102,55 @@ class TestRunExperiment:
             data = (result.directory / rel).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_manifest_and_rerun_keep_to_the_runs_own_files(self, tmp_path):
+        """A run into a directory that also holds a foreign file, another
+        run's subdirectory and files among the snapshots that no run writes
+        lists in its manifest, and on a rerun removes, only its own files."""
+        run_dir = tmp_path / "demo"
+        inner = run_experiment(make_cfg(**{"directory = demo": "directory = demo/inner\n"
+                                                               "snapshot_stride = 5"}), tmp_path)
+        foreign = {
+            "notes.md": b"mine\n",
+            "fields/notes.txt": b"keep\n",
+            "fields/u_1.csv": b"not a snapshot name\n",
+            "fields/u_000001 copy.csv": b"nor this\n",
+        }
+        foreign.update({
+            str(p.relative_to(run_dir)): p.read_bytes()
+            for p in inner.directory.rglob("*") if p.is_file()
+        })
+        for rel, data in foreign.items():
+            (run_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+            (run_dir / rel).write_bytes(data)
+        own = ["config.txt", "report_terms.csv", "reports.csv", "trajectory.csv"]
+        snapshots = [f"fields/{kind}_{k:06d}.csv" for kind in "uw" for k in (0, 5, 10)]
+
+        for stride, listed in ((5, own + snapshots), (0, own)):
+            cfg = make_cfg(**{"directory = demo": f"directory = demo\nsnapshot_stride = {stride}"})
+            assert run_experiment(cfg, tmp_path).ok
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert sorted(manifest["artifacts"]) == sorted(listed)
+            on_disk = {str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file()}
+            assert on_disk == set(foreign) | set(listed) | {"manifest.json"}
+            for rel, data in foreign.items():
+                assert (run_dir / rel).read_bytes() == data
+
+    def test_run_into_the_working_directory_lists_only_its_files(self, tmp_path, monkeypatch):
+        """directory = . with no output root writes into the working
+        directory, and the user's files there are neither listed nor removed."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(BASE)
+        (tmp_path / "junk" / "sub").mkdir(parents=True)
+        (tmp_path / "junk" / "sub" / "big.bin").write_bytes(b"\0" * 64)
+        result = run_experiment(make_cfg(**{"directory = demo": "directory = ."}))
+        assert result.ok
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == [
+            "config.txt", "report_terms.csv", "reports.csv", "trajectory.csv"
+        ]
+        assert (tmp_path / "exp.cfg").read_text() == BASE
+        assert (tmp_path / "junk" / "sub" / "big.bin").read_bytes() == b"\0" * 64
+
     def test_manifest_iteration_totals(self, tmp_path, monkeypatch):
         """manifest.json holds the run's Newton and PCG iteration totals, the
         sums over its records; the PCG total is every iteration the sinh
