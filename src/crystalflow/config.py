@@ -38,6 +38,17 @@ _OPTIONAL_KEYS = ("mode", "width")
 _SCHEME_DEFAULTS = {"tau": 0.01, "horizon": 0.1}
 
 
+def _unwritable(key: str, value: str | None) -> str | None:
+    """Why a string setting would not read back from its `key = value` line,
+    or None: a '#' starts a comment, a line break ends the line, and the
+    reader strips the whitespace around the value."""
+    if value is None or ("#" not in value and value == value.strip()
+                         and value == "".join(value.splitlines())):
+        return None
+    return (f"{key} {value!r} must not contain '#' or a line break, "
+            "or begin or end with whitespace")
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """One initial-condition source; all built-in profiles have exact
@@ -54,7 +65,8 @@ class InitialSpec:
     def __post_init__(self):
         """Refuses an unknown profile (ValueError), and raises ConfigError
         listing every key PROFILES declares for the profile that is unset
-        (all but _OPTIONAL_KEYS) and every value out of range."""
+        (all but _OPTIONAL_KEYS), every value out of range and a path that
+        config_to_text could not write (_unwritable)."""
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}; choose from {', '.join(PROFILES)}")
         problems = [
@@ -68,6 +80,8 @@ class InitialSpec:
             problems.append("gaussian_bump width must be positive")
         if self.seed is not None and self.seed < 0:
             problems.append("random_smooth seed must be >= 0")
+        if problem := _unwritable("path", self.path):
+            problems.append(problem)
         if problems:
             raise ConfigError([f"[initial] {problem}" for problem in problems])
 
@@ -87,6 +101,8 @@ class OutputSpec:
             )
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be >= 0")
+        if problem := _unwritable("directory", self.directory):
+            raise ValueError(problem)
 
 
 @dataclass(frozen=True)

@@ -169,16 +169,17 @@ def verify_run(directory) -> list[EstimateReport]:
 def run_experiment(cfg: ExperimentConfig, output_root=None) -> ExperimentResult:
     """Run one configured trajectory and persist all artifacts.
 
-    output_root, when given, is prepended to the configured output
-    directory, which must then be relative; an absolute one under a root,
-    or a directory that cannot be made, raises ArgumentError. The files an
-    earlier run wrote there are removed first, and the manifest lists the
-    files this run wrote (_run_files). Returns exit code 0 on a clean run,
+    output_root, when given and not empty, is prepended to the configured
+    output directory, which must then be relative; an absolute one under a
+    root, or a directory that cannot be made, raises ArgumentError. None
+    and "" leave the configured directory as it is, as the CLI does. The
+    files an earlier run wrote there are removed first, and the manifest
+    lists the files this run wrote (_run_files). Returns exit code 0 on a clean run,
     1 when the step solver or an estimate check raised; the directory then
     contains a FAILED manifest along with any partial artifacts.
     """
     out_dir = Path(cfg.output.directory)
-    if output_root is not None:
+    if output_root:
         if out_dir.is_absolute():
             raise ArgumentError(
                 f"the output directory {out_dir} is absolute; "
@@ -259,11 +260,11 @@ def _run_batch(
     own subdirectory (_with_param) of the root, one after another in the
     calling thread; returns (root, results) in the order of values.
 
-    The root is output_root when given, in place of the configured output
-    directory. Every value is checked, and the root and every run directory
-    made, before the first run: no values, a value no run can use, two
-    values naming one run directory, or a directory that cannot be made
-    raises ArgumentError.
+    The root is output_root when given and not empty, in place of the
+    configured output directory. Every value is checked, and the root and
+    every run directory made, before the first run: no values, a value no
+    run can use, two values naming one run directory, or a directory that
+    cannot be made raises ArgumentError.
     """
     if len(values) == 0:
         raise ArgumentError(f"no {param} values to run")
@@ -277,7 +278,7 @@ def _run_batch(
                 f"both name the run directory {directory}"
             )
         earlier[directory] = value
-    root = Path(output_root) if output_root is not None else Path(cfg.output.directory)
+    root = Path(output_root or cfg.output.directory)
     _make_dir(root)
     for sub_cfg in sub_cfgs:
         _make_dir(root / sub_cfg.output.directory)

@@ -44,8 +44,9 @@ minimum-degree ordering on A + A^T (MMD_AT_PLUS_A) in symmetric mode,
 diagonal pivot threshold 1e-3.
 
 The damped fixed-point map (fixed_point_step) is off the run path. It
-remains, with the helpers only it reaches, until the benchmark stops
-tracing it (ROADMAP item 2).
+takes the variants with a linear second equation, whose u-solve is
+_helmholtz_inverse, and hands a p-variant step to newton_step. It remains
+until the benchmark stops tracing it (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import spectral
 from .elliptic import helmholtz_matrix, lu_factor, weighted_helmholtz_matrix
@@ -176,8 +176,8 @@ def _helmholtz_inverse(grid: Grid, tau_reg: float):
     P the removal of the mean. The constant mode, whose condition in B is
     about lambda_max/tau', takes the closed form; the LU factor of B serves
     the rest, and P drops the constant its rounding leaves there. The PCG
-    Newton direction applies it to du alone, once per direction, and so does
-    the fixed-point map's u-solve.
+    Newton direction applies it to du alone, once per direction; the
+    fixed-point map solves its second equation with it, once per trial.
     """
     factor = lu_factor(helmholtz_matrix(grid, tau_reg))
     q = _mean_weights(grid)
@@ -198,68 +198,6 @@ def _apply_exponent_op(grid: Grid, tau_reg: float, u: np.ndarray, variant: Varia
     if variant.p is not None:
         return -p_laplacian_1d(Field(grid, u), variant.p).values + tau_reg * u
     return -(laplacian_matrix(grid) @ u) + tau_reg * u
-
-
-# stalled p = 3 inner solves on 65 nodes were measured at 0.12-0.46 of
-# eps * (||J|| ||u|| + ||phi||), so a factor 4 leaves room without hiding
-# an iteration that is still converging
-_FLOOR_FACTOR = 4.0
-
-
-def _residual_floor(jac: sp.spmatrix, u: np.ndarray, phi: np.ndarray) -> float:
-    """Round-off floor of a residual A(u) - phi whose Jacobian at u is jac.
-
-    Normwise backward-error scale (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 7.1): perturbing u and phi by one unit in the
-    last place each moves the residual by up to
-    eps * (||J||_inf ||u||_inf + ||phi||_inf), so no iterate can be relied
-    on to get below a small multiple of that.
-    """
-    scale = spla.norm(jac, np.inf) * np.abs(u).max() + np.abs(phi).max()
-    return _FLOOR_FACTOR * np.finfo(float).eps * float(scale)
-
-
-def _solve_exponent_problem(
-    grid: Grid, tau_reg: float, phi: np.ndarray, variant: Variant, guess: np.ndarray, tol: float
-) -> np.ndarray:
-    """Solve -Laplacian(_p) u + tau' u = phi for u.
-
-    The p-Laplacian case runs Newton from guess. It returns the first
-    iterate whose residual sup-norm is at most tol. Failing that, it returns
-    the previous iterate once the residual has stopped decreasing while it
-    lies within the round-off floor of _residual_floor: a large mean of u
-    can put that floor above tol, and no further iterate would do better.
-    A residual above both after 60 iterations raises StepFailure carrying
-    the residual history and the floor.
-
-    Only fixed_point_step reaches this solve; it remains until the benchmark
-    change of ROADMAP item 2.
-    """
-    if variant.p is None:
-        return _helmholtz_inverse(grid, tau_reg)(phi)
-    # p-Laplacian: small Newton loop, tridiagonal Jacobian
-    u = guess.copy()
-    n = grid.num_nodes
-    eye = sp.identity(n, format="csr")
-    history = []
-    for _ in range(60):
-        r = _apply_exponent_op(grid, tau_reg, u, variant) - phi
-        res = float(np.abs(r).max())
-        if res <= tol:
-            return u
-        J = -p_laplacian_jacobian_1d(Field(grid, u), variant.p) + tau_reg * eye
-        floor = _residual_floor(J, u, phi)
-        if history and history[-1] <= res <= floor:
-            return u_prev
-        history.append(res)
-        u_prev = u
-        u = u - lu_factor(J).solve(r)
-    raise StepFailure(
-        f"inner p-Laplacian solve did not converge: residual {res:.3e} "
-        f"against floor {floor:.3e} (tolerance {tol:.3e})",
-        residual=res,
-        residual_history=history,
-    )
 
 
 def _stencil_residuals(
@@ -315,28 +253,33 @@ def fixed_point_step(
 ) -> tuple[Field, Field, StepDiagnostics]:
     """One implicit step via the damped two-solve fixed-point map.
 
-    The map sends phi to the solution w of the f'(phi)-weighted Helmholtz
-    problem whose data comes from the u-solve with exponent phi; a defect
-    correction term makes its fixed point satisfy the stencil equations to
-    the Picard tolerance. Damping starts at 1 and is halved whenever the
-    combined residual increases, and a trial is rejected the same way when
-    its argument exceeds the variant's bound or its inner u-solve raises StepFailure.
-    On stagnation, or after _PICARD_MAX_ITER iterations, newton_step takes
-    over from the last iterate.
+    The map takes variants whose second equation is linear: it sends phi
+    to the solution w of the f'(phi)-weighted Helmholtz problem whose data
+    comes from the u-solve u = B^-1 phi; a defect correction term makes its
+    fixed point satisfy the stencil equations to the Picard tolerance.
+    Damping starts at 1 and is halved whenever the combined residual
+    increases, and a trial is rejected the same way when its argument
+    exceeds the variant's bound. On stagnation, or after _PICARD_MAX_ITER
+    iterations, newton_step takes over from the last iterate. A p-variant
+    step, whose second equation is nonlinear, goes to newton_step from
+    (v, phi_init) at once.
 
     run does not call this map: Newton alone reaches the same fields in
     fewer iterations. It remains, off the run path, until the benchmark
     change of ROADMAP item 2 stops tracing it.
     """
     variant = variant or sinh_variant()
+    if variant.p is not None:
+        return newton_step(v, params, (v, phi_init), variant)
     grid = v.grid
     tau, tau_reg = params.tau, params.reg_weight
     tol = params.picard_tol
     lap = laplacian_matrix(grid)
+    solve = _helmholtz_inverse(grid, tau_reg)
 
     phi = phi_init.values.copy()
     variant.check_cap(phi)
-    u = _solve_exponent_problem(grid, tau_reg, phi, variant, v.values, tol / 10)
+    u = solve(phi)
     res = _step_residual(grid, tau, tau_reg, v.values, u, phi, variant)
     theta = 1.0
     history = [res]
@@ -355,10 +298,10 @@ def fixed_point_step(
         accepted = False
         while theta >= 1e-4:
             phi_try = (1 - theta) * phi + theta * w_hat
+            u_try = solve(phi_try)
             try:
-                u_try = _solve_exponent_problem(grid, tau_reg, phi_try, variant, u, tol / 10)
                 res_try = _step_residual(grid, tau, tau_reg, v.values, u_try, phi_try, variant)
-            except (OverflowCapError, StepFailure):
+            except OverflowCapError:
                 theta /= 2
                 continue
             if res_try < res or res_try <= tol:

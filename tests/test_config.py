@@ -6,6 +6,7 @@ import pytest
 from crystalflow.config import (
     ExperimentConfig,
     InitialSpec,
+    OutputSpec,
     _random_smooth,
     build_initial_field,
     config_to_text,
@@ -240,6 +241,31 @@ class TestRoundTrip:
     def test_parse_print_parse_fixed_point(self, extra):
         cfg = parse_config(MINIMAL + extra)
         assert parse_config(config_to_text(cfg)) == cfg
+
+    def test_strings_with_blanks_and_equals_signs_read_back(self):
+        cfg = parse_config(MINIMAL)
+        output = OutputSpec(directory="my runs/a=b")
+        cfg = ExperimentConfig(cfg.grid, InitialSpec("snapshot", path="in put/u0 =.csv"),
+                               cfg.scheme, cfg.variant, output)
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "value",
+        ["runs#3", " padded ", "runs\n3", "runs\r", "runs\u2028x", "\tlead", "trail "],
+        ids=["hash", "padded", "newline", "carriage-return", "line-separator", "tab", "trailing"],
+    )
+    def test_unwritable_strings_refused(self, value):
+        """A directory or snapshot path that its `key = value` line could not
+        carry back (a '#' starts a comment, a line break ends the line, the
+        reader strips the whitespace around a value) is refused as one
+        violation naming the key."""
+        reason = "must not contain '#' or a line break, or begin or end with whitespace"
+        with pytest.raises(ValueError) as exc:
+            OutputSpec(directory=value)
+        assert str(exc.value) == f"directory {value!r} {reason}"
+        with pytest.raises(ConfigError) as exc:
+            InitialSpec("snapshot", path=value)
+        assert exc.value.violations == [f"[initial] path {value!r} {reason}"]
 
 
 class TestProfiles:

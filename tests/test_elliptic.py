@@ -1,9 +1,13 @@
 """The step's elliptic operators under lu_factor: residuals, symmetry,
 convergence."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crystalflow
 from crystalflow.elliptic import helmholtz_matrix, lu_factor, weighted_helmholtz_matrix
 from crystalflow.grid import Field, Grid
 
@@ -121,3 +125,77 @@ class TestManufacturedConvergence:
             u = lu_factor(A).solve(rhs)
             errs.append(np.abs(u - u_exact).max())
         assert np.log2(errs[0] / errs[1]) >= 1.9
+
+
+def _sparse_linalg_uses(source: str) -> list:
+    """Line numbers where source imports scipy.sparse.linalg, in any import
+    form, or reaches it as an attribute of a name bound to scipy or
+    scipy.sparse."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> the module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    bound[top] = top
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id, node.id)
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return ""
+
+    target = "scipy.sparse.linalg"
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [dotted(node)]
+        else:
+            continue
+        if any(name == target or name.startswith(target + ".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_elliptic_uses_sparse_linalg():
+    """Every sparse factorization goes through elliptic.lu_factor, so
+    elliptic is the one module of the package that imports
+    scipy.sparse.linalg."""
+    package = Path(crystalflow.__file__).parent
+    uses = {
+        str(path.relative_to(package)): _sparse_linalg_uses(path.read_text(encoding="utf-8"))
+        for path in package.rglob("*.py")
+    }
+    assert [name for name, lines in uses.items() if lines] == ["elliptic.py"], uses
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import scipy.sparse.linalg",
+        "import scipy.sparse.linalg as spla",
+        "from scipy.sparse.linalg import splu",
+        "from scipy.sparse import linalg",
+        "import scipy.sparse as sp\nsp.linalg.splu",
+        "from scipy import sparse\nsparse.linalg.norm",
+        "import scipy\nscipy.sparse.linalg.spsolve",
+    ],
+)
+def test_sparse_linalg_use_found(source):
+    assert _sparse_linalg_uses(source)
+
+
+def test_other_linalg_not_counted():
+    assert not _sparse_linalg_uses("import numpy as np\nimport scipy.sparse as sp\n"
+                                   "np.linalg.norm\nsp.csr_matrix")

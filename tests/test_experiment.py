@@ -151,6 +151,16 @@ class TestRunExperiment:
         assert (tmp_path / "exp.cfg").read_text() == BASE
         assert (tmp_path / "junk" / "sub" / "big.bin").read_bytes() == b"\0" * 64
 
+    def test_empty_output_root_is_unset(self, tmp_path, monkeypatch):
+        """output_root = "" leaves the configured directory as it is, as
+        None does: an absolute directory is written, not refused."""
+        monkeypatch.chdir(tmp_path)
+        absolute = tmp_path / "abs"
+        result = run_experiment(make_cfg(**{"directory = demo": f"directory = {absolute}"}),
+                                output_root="")
+        assert result.ok and result.directory == absolute
+        assert (absolute / "manifest.json").is_file()
+
     def test_manifest_iteration_totals(self, tmp_path, monkeypatch):
         """manifest.json holds the run's Newton and PCG iteration totals, the
         sums over its records; the PCG total is every iteration the sinh
@@ -376,6 +386,16 @@ class TestSweep:
         middle = rows[2].split(",")
         assert float(middle[1]) > 0
         assert 0.5 < float(middle[2]) < 2.5
+
+    def test_empty_output_root_is_unset(self, tmp_path, monkeypatch):
+        """output_root = "" takes the configured directory as the root, as
+        None does, not the working directory."""
+        monkeypatch.chdir(tmp_path)
+        results = sweep(make_cfg(), "tau", [0.01], output_root="")
+        assert results[0].ok
+        assert (tmp_path / "demo" / "tau_0.01" / "manifest.json").is_file()
+        assert (tmp_path / "demo" / "sweep_summary.csv").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo"]
 
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sweep parameter"):

@@ -14,7 +14,6 @@ from crystalflow.grid import (
     Grid,
     integrate,
     laplacian_matrix,
-    p_laplacian_jacobian_1d,
 )
 from crystalflow.nonlinearity import Variant, make_variant, sinh_variant
 from crystalflow.stepper import (
@@ -117,74 +116,48 @@ class TestFixedPointStep:
 
     @pytest.fixture
     def failing_trials(self, monkeypatch):
-        """Let the initial inner solve through and make every trial's solve fail."""
-        solve = stepper._solve_exponent_problem
+        """Let the initial residual through and make every trial's residual
+        overflow; returns the calls and the unpatched _step_residual."""
+        step_residual = stepper._step_residual
         calls = []
 
         def flaky(*args):
             calls.append(args)
             if len(calls) > 1:
-                raise StepFailure("inner p-Laplacian solve did not converge", residual=1.0)
-            return solve(*args)
+                raise OverflowCapError("trial argument over the bound")
+            return step_residual(*args)
 
-        monkeypatch.setattr(stepper, "_solve_exponent_problem", flaky)
-        return calls
+        monkeypatch.setattr(stepper, "_step_residual", flaky)
+        return calls, step_residual
 
     def test_failed_trial_falls_back_to_newton(self, grid1d, failing_trials):
+        calls, step_residual = failing_trials
         params = SchemeParams(tau=0.01, horizon=0.1)
-        variant = make_variant("p_exponent", p=3.0)
+        variant = sinh_variant()
         v = Field.from_function(grid1d, lambda x: 0.1 * np.cos(np.pi * x))
         u, w, diag = fixed_point_step(v, params, init_w0(v, params, variant), variant)
-        assert len(failing_trials) > 1
+        assert len(calls) > 1
         assert diag.newton_used
         assert diag.residual_inf <= params.picard_tol
         # the returned pair itself satisfies both stencil equations
-        res = stepper._step_residual(
+        res = step_residual(
             grid1d, params.tau, params.reg_weight, v.values, u.values, w.values, variant
         )
         assert res <= params.picard_tol
 
-
-class TestInnerExponentSolve:
-    """Newton for -Laplacian_p u + tau' u = phi when u has a large mean."""
-
-    tau_reg = 0.01
-    tol = 1e-11
-
-    @pytest.fixture
-    def problem(self, grid1d):
-        x = grid1d.coords()[0]
-        phi = -1.36 + 0.02 * np.cos(np.pi * x)
-        guess = 0.03 * np.cos(np.pi * x)
-        return phi, guess, make_variant("p_exponent", p=3.0)
-
-    def test_stops_at_roundoff_floor(self, grid1d, problem):
-        # the mean of u is about -136, which puts the residual's round-off
-        # floor above tol; Newton stalls there instead of reaching tol
-        phi, guess, variant = problem
-        u = stepper._solve_exponent_problem(
-            grid1d, self.tau_reg, phi, variant, guess, self.tol
-        )
-        res = np.abs(stepper._apply_exponent_op(grid1d, self.tau_reg, u, variant) - phi).max()
-        eye = sp.identity(grid1d.num_nodes)
-        jac = -p_laplacian_jacobian_1d(Field(grid1d, u), variant.p) + self.tau_reg * eye
-        floor = stepper._residual_floor(jac, u, phi)
-        assert res <= floor
-        # the floor is a few units of round-off, not a loose acceptance
-        assert floor < 1e-9
-        np.testing.assert_allclose(u.mean(), phi.mean() / self.tau_reg, rtol=1e-6)
-
-    def test_failure_reports_history_and_floor(self, grid1d, problem, monkeypatch):
-        # with no round-off allowance the same stall exhausts the iterations
-        monkeypatch.setattr(stepper, "_residual_floor", lambda jac, u, phi: 0.0)
-        phi, guess, variant = problem
-        with pytest.raises(StepFailure, match="against floor") as exc:
-            stepper._solve_exponent_problem(
-                grid1d, self.tau_reg, phi, variant, guess, self.tol
-            )
-        hist = exc.value.residual_history
-        assert len(hist) == 60
-        assert exc.value.residual == hist[-1] > self.tol
+    def test_p_variant_goes_to_newton(self, grid1d):
+        """The map takes linear second equations only: a p-variant step is
+        newton_step from (v, phi_init), bit for bit, with no Picard iteration."""
+        params = SchemeParams(tau=0.01, horizon=0.1)
+        variant = make_variant("p_exponent", p=3.0)
+        v = Field.from_function(grid1d, lambda x: 0.1 * np.cos(np.pi * x))
+        w0 = init_w0(v, params, variant)
+        u, w, diag = fixed_point_step(v, params, w0, variant)
+        u_ref, w_ref, diag_ref = newton_step(v, params, (v, w0), variant)
+        assert diag.newton_used and diag.picard_iters == 0
+        assert np.array_equal(u.values, u_ref.values)
+        assert np.array_equal(w.values, w_ref.values)
+        assert diag.residual_history == diag_ref.residual_history
 
 
 def _tail_slopes(hist):
