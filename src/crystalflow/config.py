@@ -93,16 +93,20 @@ class OutputSpec:
     reports: tuple = REPORT_NAMES
 
     def __post_init__(self):
+        """Raises ConfigError listing every unknown report name, a negative
+        snapshot_stride and a directory that config_to_text could not write
+        (_unwritable)."""
+        problems = []
         bad = [name for name in self.reports if name not in REPORT_NAMES]
         if bad:
-            raise ValueError(
-                f"unknown report name(s) {', '.join(bad)}; "
-                f"choose from {', '.join(REPORT_NAMES)}"
-            )
+            problems.append(f"unknown report name(s) {', '.join(bad)}; "
+                            f"choose from {', '.join(REPORT_NAMES)}")
         if self.snapshot_stride < 0:
-            raise ValueError("snapshot_stride must be >= 0")
+            problems.append("snapshot_stride must be >= 0")
         if problem := _unwritable("directory", self.directory):
-            raise ValueError(problem)
+            problems.append(problem)
+        if problems:
+            raise ConfigError([f"[output] {problem}" for problem in problems])
 
 
 @dataclass(frozen=True)

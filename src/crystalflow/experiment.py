@@ -80,13 +80,13 @@ FIELDS = "fields"
 
 def _snapshot(kind: str, k: int) -> str:
     """The name in FIELDS of the snapshot of u or w (kind) at step k."""
-    return f"{kind}_{k:06d}.csv"
+    return f"{kind}_{k:06d}.f64"
 
 
 def _run_files(out_dir: Path) -> list[str]:
     """The files in out_dir that a run writes, relative to it."""
     names = [name for name in RUN_FILES if (out_dir / name).is_file()]
-    for path in (out_dir / FIELDS).glob("[uw]_*.csv"):
+    for path in (out_dir / FIELDS).glob("[uw]_*.f64"):
         step = path.stem[2:]
         if step.isdecimal() and path.name == _snapshot(path.name[0], int(step)) and path.is_file():
             names.append(f"{FIELDS}/{path.name}")
@@ -119,7 +119,9 @@ def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
     """Rebuild a run's config and Trajectory from its config.txt and snapshots.
 
     config.txt alone gives the grid: every snapshot is read on it, and one
-    whose header states another grid raises SnapshotFormatError.
+    whose header states another grid raises SnapshotFormatError. A step kept
+    only as a text snapshot (fields/u_<k>.csv, as versions before the raw
+    float64 store wrote) raises CrystalflowError naming that file.
     """
     config_path = directory / CONFIG
     try:
@@ -136,6 +138,12 @@ def _reload_run(directory: Path) -> tuple[ExperimentConfig, Trajectory]:
     for k in range(cfg.scheme.num_steps + 1):
         u_path = fields_dir / _snapshot("u", k)
         if not u_path.is_file():
+            text = u_path.with_suffix(".csv")
+            if text.is_file():
+                raise CrystalflowError(
+                    f"{text} is a text snapshot of an earlier crystalflow; "
+                    "this version does not read text snapshots"
+                )
             raise CrystalflowError(
                 f"{u_path} is missing; verification needs every step (snapshot_stride = 1)"
             )

@@ -15,10 +15,11 @@ emits each edge's four entries in a fixed order, and the CSR conversion sums
 duplicates in that order; keeping the order keeps every matrix, and so
 every stored CSV, bitwise stable.
 
-A snapshot file is one header line naming its grid (_header) and then one
-value per node. load_field reads a snapshot only on the grid its caller
-hands it, and refuses a file whose header is not that grid's, so a run's
-grid comes from its config alone.
+A snapshot file is one header line naming its grid and its value format
+(_header) and then the field's values as raw little-endian float64, one per
+node in row-major order, so a value reads back bit for bit. load_field reads
+a snapshot only on the grid its caller hands it, and refuses a file whose
+header is not that grid's, so a run's grid comes from its config alone.
 """
 
 from __future__ import annotations
@@ -275,32 +276,38 @@ def _header(grid: Grid) -> str:
     """The first line of every snapshot of a field on grid."""
     nodes = ",".join(str(n) for n in grid.nodes)
     extent = ",".join(FLOAT_FMT % e for e in grid.extents)
-    return f"# grid: dim={grid.dim} nodes={nodes} extent={extent}\n"
+    return f"# grid: dim={grid.dim} nodes={nodes} extent={extent} values=float64le\n"
 
 
 def save_field(f: Field, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header(f.grid))
-        fh.write("".join(map(csv_line, zip(f.values.tolist()))))
+    """Write f to path: _header(f.grid), then f's values as raw little-endian float64."""
+    with open(path, "wb") as fh:
+        fh.write(_header(f.grid).encode() + f.values.astype("<f8").tobytes())
 
 
 def load_field(path, grid: Grid) -> Field:
-    """Read a snapshot of a field on grid. Raises SnapshotFormatError when the
-    file cannot be read, its header is not the one save_field writes for
-    grid, or its values are not grid.num_nodes finite numbers."""
+    """Read a snapshot of a field on grid. Raises SnapshotFormatError naming
+    path when the file cannot be read, its header is not the one save_field
+    writes for grid, or its payload is not grid.num_nodes finite float64."""
+    expected = _header(grid).encode()
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             header = fh.readline()
-            if header != _header(grid):
-                raise SnapshotFormatError(
-                    f"{path}: snapshot header {header.strip()!r} does not match "
-                    f"the run's grid {_header(grid).strip()!r}"
-                )
-            try:
-                return Field(grid, [float(line) for line in fh if line.strip()])
-            except ValueError as err:
-                raise SnapshotFormatError(f"{path}: malformed snapshot: {err!r}") from err
+            payload = fh.read()
     except OSError as err:
         raise SnapshotFormatError(f"{path}: cannot read snapshot: {err.strerror}") from err
-    except UnicodeDecodeError as err:
-        raise SnapshotFormatError(f"{path}: snapshot is not text: {err.reason}") from err
+    if header != expected:
+        stated = header.decode("ascii", "replace").strip()
+        raise SnapshotFormatError(
+            f"{path}: snapshot header {stated!r} does not match "
+            f"the run's grid {expected.decode().strip()!r}"
+        )
+    if len(payload) != 8 * grid.num_nodes:
+        raise SnapshotFormatError(
+            f"{path}: snapshot holds {len(payload)} bytes of values, "
+            f"not 8 for each of the grid's {grid.num_nodes} nodes"
+        )
+    try:
+        return Field(grid, np.frombuffer(payload, "<f8"))
+    except ValueError as err:
+        raise SnapshotFormatError(f"{path}: malformed snapshot: {err!r}") from err

@@ -273,7 +273,7 @@ class TestVerifyCommand:
         path.write_text(_edited({_AMPLITUDE: "amplitude = 0.5", "tau = 0.01": "tau = 0.001"}))
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
         run_dir = tmp_path / "demo"
-        snapshot = run_dir / "fields" / "u_000020.csv"
+        snapshot = run_dir / "fields" / "u_000020.f64"
         u20 = load_field(snapshot, Grid(1, (1.0,), (65,)))
         x = u20.grid.axis_coords(0)
         save_field(Field(u20.grid, u20.values + 1e-6 * np.cos(3 * np.pi * x)), snapshot)
@@ -288,7 +288,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "name, scale, step",
-        [("w_000000.csv", 1 + 1e-15, 0), ("w_000002.csv", 1e6, 2)],
+        [("w_000000.f64", 1 + 1e-15, 0), ("w_000002.f64", 1e6, 2)],
         ids=["w0-off-u0", "w-over-cap"],
     )
     def test_verify_names_tampered_step(self, name, scale, step, config_path, tmp_path, capsys):
@@ -303,7 +303,7 @@ class TestVerifyCommand:
     def test_verify_labels_cap_failure_as_run_does(self, config_path, tmp_path):
         # a stored w over the cap stays an OverflowCapError, step-indexed
         main(["--output-root", str(tmp_path), "run", config_path])
-        snapshot = tmp_path / "demo" / "fields" / "w_000002.csv"
+        snapshot = tmp_path / "demo" / "fields" / "w_000002.f64"
         w = load_field(snapshot, Grid(1, (1.0,), (65,)))
         save_field(Field(w.grid, w.values * 1e6), snapshot)
         with pytest.raises(OverflowCapError) as exc:
@@ -318,12 +318,13 @@ class TestVerifyCommand:
         path = tmp_path / "exp.cfg"
         path.write_text(_edited(VERIFY_CASES["2d-9"]))
         assert main(["--output-root", str(tmp_path), "run", str(path)]) == 0
-        for names in (("w_000002.csv",), ("u_000001.csv", "w_000001.csv")):
+        for names in (("w_000002.f64",), ("u_000001.f64", "w_000001.f64")):
             for name in names:
                 snapshot = tmp_path / "demo" / "fields" / name
-                header, values = snapshot.read_text().split("\n", 1)
-                assert header == "# grid: dim=2 nodes=9,9 extent=1,1"
-                snapshot.write_text("# grid: dim=2 nodes=9,9 extent=1.05,1\n" + values)
+                header, values = snapshot.read_bytes().split(b"\n", 1)
+                assert header == b"# grid: dim=2 nodes=9,9 extent=1,1 values=float64le"
+                snapshot.write_bytes(
+                    b"# grid: dim=2 nodes=9,9 extent=1.05,1 values=float64le\n" + values)
             capsys.readouterr()
             assert main(["verify", str(tmp_path / "demo")]) == 1
             captured = capsys.readouterr()
@@ -331,7 +332,7 @@ class TestVerifyCommand:
             assert captured.err.startswith("error: ") and names[0] in captured.err
             assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("missing", ["fields/w_000001.csv", "config.txt"])
+    @pytest.mark.parametrize("missing", ["fields/w_000001.f64", "config.txt"])
     def test_verify_names_missing_file(self, missing, config_path, tmp_path, capsys):
         main(["--output-root", str(tmp_path), "run", config_path])
         (tmp_path / "demo" / missing).unlink()
@@ -383,17 +384,36 @@ class TestVerifyCommand:
 
     def test_verify_rejects_corrupt_snapshot(self, config_path, tmp_path, capsys):
         main(["--output-root", str(tmp_path), "run", config_path])
-        (tmp_path / "demo" / "fields" / "u_000002.csv").write_text(
-            "# grid: dim=1 nodes=65 extent=1\nnot a number\n"
+        (tmp_path / "demo" / "fields" / "u_000002.f64").write_bytes(
+            b"# grid: dim=1 nodes=65 extent=1 values=float64le\nnot a number\n"
         )
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 1
-        assert "u_000002.csv" in capsys.readouterr().err
+        assert "u_000002.f64" in capsys.readouterr().err
+
+    def test_verify_refuses_text_snapshots(self, config_path, tmp_path, capsys):
+        """A run directory as versions before the float64 store wrote it,
+        each snapshot one header line and one 17-digit value per line, is
+        refused with one error line naming the first text snapshot."""
+        main(["--output-root", str(tmp_path), "run", config_path])
+        grid = Grid(1, (1.0,), (65,))
+        fields = tmp_path / "demo" / "fields"
+        for path in fields.glob("*.f64"):
+            values = load_field(path, grid).values
+            path.with_suffix(".csv").write_text(
+                "# grid: dim=1 nodes=65 extent=1\n" + "".join(f"{v:.17g}\n" for v in values))
+            path.unlink()
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "demo")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {fields / 'u_000000.csv'} is a text snapshot of an "
+                                "earlier crystalflow; this version does not read text snapshots\n")
 
     def test_verify_ignores_stray_files(self, config_path, tmp_path, capsys):
         main(["--output-root", str(tmp_path), "run", config_path])
         fields = tmp_path / "demo" / "fields"
-        (fields / "u_000001 copy.csv").write_bytes((fields / "u_000001.csv").read_bytes())
+        (fields / "u_000001 copy.f64").write_bytes((fields / "u_000001.f64").read_bytes())
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 0
         assert capsys.readouterr().out == (tmp_path / "demo" / "reports.csv").read_text()
@@ -405,7 +425,7 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "demo")]) == 1
         err = capsys.readouterr().err
-        assert "u_000001.csv" in err and "snapshot_stride = 1" in err
+        assert "u_000001.f64" in err and "snapshot_stride = 1" in err
 
     def test_verify_requires_snapshots(self, config_path, tmp_path, capsys):
         path = tmp_path / "nosnap.cfg"

@@ -116,6 +116,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown report"):
             parse_config(MINIMAL + "\n[output]\nreports = prop99\n")
 
+    def test_output_problems_listed_together(self):
+        """[output] reports every problem at once, parsed or built through the API."""
+        expected = [
+            "[output] unknown report name(s) bogus; choose from prop31, prop32, prop33",
+            "[output] snapshot_stride must be >= 0",
+        ]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "\n[output]\nsnapshot_stride = -1\nreports = bogus\n")
+        assert exc.value.violations == expected
+        with pytest.raises(ConfigError) as exc:
+            OutputSpec(directory="runs#3", snapshot_stride=-1, reports=("bogus",))
+        assert exc.value.violations == expected + [
+            "[output] directory 'runs#3' must not contain '#' or a line break, "
+            "or begin or end with whitespace"
+        ]
+
     def test_missing_sections(self):
         with pytest.raises(ConfigError, match="missing required section"):
             parse_config("[grid]\ndim = 1\nnodes = 9\n")
@@ -181,8 +197,8 @@ TEXT_CASES = {
         "profile = random_smooth\namplitude = 0.40000000000000002\nseed = 9\n",
     ),
     "snapshot": (
-        "profile = snapshot\npath = /tmp/u0.csv",
-        "profile = snapshot\npath = /tmp/u0.csv\n",
+        "profile = snapshot\npath = /tmp/u0.f64",
+        "profile = snapshot\npath = /tmp/u0.f64\n",
     ),
     "sinh": ("[variant]\nkind = sinh\n", "kind = sinh\n"),
     "exp": ("[variant]\nkind = exp\n", "kind = exp\n"),
@@ -245,7 +261,7 @@ class TestRoundTrip:
     def test_strings_with_blanks_and_equals_signs_read_back(self):
         cfg = parse_config(MINIMAL)
         output = OutputSpec(directory="my runs/a=b")
-        cfg = ExperimentConfig(cfg.grid, InitialSpec("snapshot", path="in put/u0 =.csv"),
+        cfg = ExperimentConfig(cfg.grid, InitialSpec("snapshot", path="in put/u0 =.f64"),
                                cfg.scheme, cfg.variant, output)
         assert parse_config(config_to_text(cfg)) == cfg
 
@@ -260,9 +276,9 @@ class TestRoundTrip:
         reader strips the whitespace around a value) is refused as one
         violation naming the key."""
         reason = "must not contain '#' or a line break, or begin or end with whitespace"
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ConfigError) as exc:
             OutputSpec(directory=value)
-        assert str(exc.value) == f"directory {value!r} {reason}"
+        assert exc.value.violations == [f"[output] directory {value!r} {reason}"]
         with pytest.raises(ConfigError) as exc:
             InitialSpec("snapshot", path=value)
         assert exc.value.violations == [f"[initial] path {value!r} {reason}"]
@@ -305,7 +321,7 @@ class TestProfiles:
     def test_snapshot_profile(self, tmp_path):
         grid = Grid(1, (1.0,), (65,))
         stored = Field(grid, np.linspace(0, 1, 65))
-        path = tmp_path / "u0.csv"
+        path = tmp_path / "u0.f64"
         save_field(stored, path)
         cfg = parse_config(
             MINIMAL.replace(
@@ -317,7 +333,7 @@ class TestProfiles:
 
     def test_snapshot_grid_mismatch(self, tmp_path):
         grid = Grid(1, (1.0,), (33,))
-        path = tmp_path / "u0.csv"
+        path = tmp_path / "u0.f64"
         save_field(Field.constant(grid, 1.0), path)
         cfg = parse_config(
             MINIMAL.replace(
@@ -330,16 +346,17 @@ class TestProfiles:
     def test_snapshot_of_another_extent_same_nodes(self, tmp_path):
         # 65 nodes on a box of extent 2: as many values as the configured
         # grid takes, but the header names another grid
-        path = tmp_path / "u0.csv"
+        path = tmp_path / "u0.f64"
         save_field(Field.constant(Grid(1, (2.0,), (65,)), 1.0), path)
         cfg = parse_config(
             MINIMAL.replace(
                 "profile = cosine\namplitude = 0.1", f"profile = snapshot\npath = {path}"
             )
         )
-        with pytest.raises(SnapshotFormatError, match="u0.csv") as exc:
+        with pytest.raises(SnapshotFormatError, match="u0.f64") as exc:
             build_initial_field(cfg)
-        assert "extent=2'" in str(exc.value) and "extent=1'" in str(exc.value)
+        assert "extent=2 values=float64le'" in str(exc.value)
+        assert "extent=1 values=float64le'" in str(exc.value)
 
     @pytest.mark.parametrize(
         "profile_block",

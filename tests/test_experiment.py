@@ -114,6 +114,10 @@ class TestRunExperiment:
             "fields/notes.txt": b"keep\n",
             "fields/u_1.csv": b"not a snapshot name\n",
             "fields/u_000001 copy.csv": b"nor this\n",
+            "fields/u_1.f64": b"not a snapshot name\n",
+            "fields/u_000001 copy.f64": b"nor this\n",
+            # a text snapshot as versions before the float64 store wrote it
+            "fields/u_000005.csv": b"# grid: dim=1 nodes=65 extent=1\n",
         }
         foreign.update({
             str(p.relative_to(run_dir)): p.read_bytes()
@@ -123,7 +127,7 @@ class TestRunExperiment:
             (run_dir / rel).parent.mkdir(parents=True, exist_ok=True)
             (run_dir / rel).write_bytes(data)
         own = ["config.txt", "report_terms.csv", "reports.csv", "trajectory.csv"]
-        snapshots = [f"fields/{kind}_{k:06d}.csv" for kind in "uw" for k in (0, 5, 10)]
+        snapshots = [f"fields/{kind}_{k:06d}.f64" for kind in "uw" for k in (0, 5, 10)]
 
         for stride, listed in ((5, own + snapshots), (0, own)):
             cfg = make_cfg(**{"directory = demo": f"directory = demo\nsnapshot_stride = {stride}"})
@@ -190,8 +194,8 @@ class TestRunExperiment:
     def test_snapshots_written_at_stride(self, tmp_path):
         cfg = make_cfg(**{"directory = demo": "directory = demo\nsnapshot_stride = 5"})
         result = run_experiment(cfg, tmp_path)
-        names = sorted(p.name for p in (result.directory / "fields").glob("u_*.csv"))
-        assert names == ["u_000000.csv", "u_000005.csv", "u_000010.csv"]
+        names = sorted(p.name for p in (result.directory / "fields").glob("u_*.f64"))
+        assert names == ["u_000000.f64", "u_000005.f64", "u_000010.f64"]
 
     def test_failure_keeps_partial_artifacts(self, tmp_path):
         cfg = make_cfg(
@@ -206,7 +210,7 @@ class TestRunExperiment:
         assert manifest["newton_iterations"] is None and manifest["cg_iterations"] is None
 
     def test_corrupt_snapshot_profile_fails_with_manifest(self, tmp_path):
-        snap = tmp_path / "corrupt.csv"
+        snap = tmp_path / "corrupt.f64"
         snap.write_text("# grid: nodes=65 extent=1\n0\n")
         cfg = make_cfg(**{"profile = cosine\namplitude = 0.1": f"profile = snapshot\npath = {snap}"})
         result = run_experiment(cfg, tmp_path)
@@ -216,11 +220,11 @@ class TestRunExperiment:
         assert manifest["status"] == "FAILED"
 
     def test_missing_snapshot_profile_fails_with_manifest(self, tmp_path):
-        missing = tmp_path / "missing.csv"
+        missing = tmp_path / "missing.f64"
         cfg = make_cfg(**{"profile = cosine\namplitude = 0.1": f"profile = snapshot\npath = {missing}"})
         result = run_experiment(cfg, tmp_path)
         assert result.exit_code == 1
-        assert "SnapshotFormatError" in result.error and "missing.csv" in result.error
+        assert "SnapshotFormatError" in result.error and "missing.f64" in result.error
         manifest = json.loads((result.directory / "manifest.json").read_text())
         assert manifest["status"] == "FAILED"
 

@@ -188,62 +188,92 @@ class TestPLaplacian:
         np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-5)
 
 
+# largest magnitude, smallest subnormal and a signed zero, each of which a
+# store that is not bit-exact loses
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+GRID3 = Grid(1, (1.0,), (3,))
+HEADER3 = b"# grid: dim=1 nodes=3 extent=1 values=float64le\n"
+
+
 class TestSnapshotIO:
-    def test_round_trip_exact(self, grid2d, grid3d, tmp_path):
+    def test_round_trip_exact(self, grid1d, grid2d, grid3d, tmp_path):
         rng = np.random.default_rng(6)
-        for grid in (grid2d, grid3d):
-            f = Field(grid, rng.standard_normal(grid.num_nodes))
-            path = tmp_path / "field.csv"
+        for grid in (grid1d, grid2d, grid3d):
+            values = rng.standard_normal(grid.num_nodes)
+            values[:len(EXTREMES)] = EXTREMES
+            f = Field(grid, values)
+            path = tmp_path / "field.f64"
             save_field(f, path)
             loaded = load_field(path, grid)
             assert loaded.grid == grid
             assert np.array_equal(loaded.values, f.values)
+            assert loaded.values.tobytes() == f.values.tobytes()
 
-    def test_header_format(self, grid2d, tmp_path):
-        path = tmp_path / "field.csv"
-        save_field(Field.constant(grid2d, 0.0), path)
-        header = path.read_text().splitlines()[0]
-        assert header == "# grid: dim=2 nodes=17,25 extent=1,2"
+    def test_header_format(self, grid2d, grid3d, tmp_path):
+        # the header line, then each node's value as 8 little-endian bytes in row-major order
+        path = tmp_path / "field.f64"
+        for grid, header in (
+            (grid2d, b"# grid: dim=2 nodes=17,25 extent=1,2 values=float64le\n"),
+            (grid3d, b"# grid: dim=3 nodes=5,7,6 extent=1,0.5,2 values=float64le\n"),
+        ):
+            values = np.arange(grid.num_nodes) - 0.5
+            save_field(Field(grid, values), path)
+            assert path.read_bytes() == header + values.astype("<f8").tobytes()
 
     def test_rejects_malformed_header(self, grid1d, tmp_path):
-        path = tmp_path / "field.csv"
-        path.write_text("not a header\n0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_field(path, grid1d)
+        path = tmp_path / "field.f64"
+        for content in (b"not a header\n0\n", b""):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match="header"):
+                load_field(path, grid1d)
 
     @pytest.mark.parametrize(
         "header",
-        ["# grid: dim=1 nodes=33 extent=2", "# grid: dim=1 nodes=33 extent=1.0"],
-        ids=["other_extent", "other_digits"],
+        [
+            "# grid: dim=1 nodes=33 extent=2 values=float64le",
+            "# grid: dim=1 nodes=33 extent=1.0 values=float64le",
+            "# grid: dim=1 nodes=33 extent=1 values=float64be",
+        ],
+        ids=["other_extent", "other_digits", "other_byte_order"],
     )
     def test_rejects_header_of_another_grid(self, header, grid1d, tmp_path):
         # the file is read on the grid it is handed, never on its own header's
-        path = tmp_path / "u_000001.csv"
-        path.write_text(header + "\n0\n" * 33)
-        with pytest.raises(SnapshotFormatError, match="u_000001.csv") as exc:
+        path = tmp_path / "u_000001.f64"
+        path.write_bytes(header.encode() + b"\n" + bytes(8 * 33))
+        with pytest.raises(SnapshotFormatError, match="u_000001.f64") as exc:
             load_field(path, grid1d)
         assert header in str(exc.value)
-        assert "# grid: dim=1 nodes=33 extent=1'" in str(exc.value)
+        assert "# grid: dim=1 nodes=33 extent=1 values=float64le'" in str(exc.value)
 
     @pytest.mark.parametrize(
-        "text",
+        "content",
         [
-            "# grid: nodes=3 extent=1\n0\n0\n0\n",
-            "# grid: dim=1 nodes=3 extent=1\n0\nabc\n0\n",
-            "# grid: dim=1 nodes=3 extent=1\n0\n0\n",
+            b"# grid: nodes=3 extent=1 values=float64le\n" + bytes(24),
+            HEADER3 + b"0\nabc\n0\n",
+            HEADER3 + bytes(16),
+            HEADER3 + bytes(25),
+            HEADER3 + np.array([0.0, np.nan, 0.0]).astype("<f8").tobytes(),
+            HEADER3 + np.array([0.0, 0.0, -np.inf]).astype("<f8").tobytes(),
+            # a text snapshot as earlier versions wrote it, its values padded
+            # to the 24 bytes that three float64 take: never decoded as floats
+            b"# grid: dim=1 nodes=3 extent=1\n" + b"0.50000\n" * 3,
         ],
-        ids=["no_dim", "non_numeric", "short"],
+        ids=["no_dim", "non_numeric", "short", "extra_byte", "nan", "infinite", "text_padded"],
     )
-    def test_rejects_malformed_content(self, text, tmp_path):
-        path = tmp_path / "field.csv"
-        path.write_text(text)
-        with pytest.raises(SnapshotFormatError):
-            load_field(path, Grid(1, (1.0,), (3,)))
+    def test_rejects_malformed_content(self, content, tmp_path):
+        path = tmp_path / "u_000001.f64"
+        path.write_bytes(content)
+        with pytest.raises(SnapshotFormatError, match="u_000001.f64"):
+            load_field(path, GRID3)
 
-    @pytest.mark.parametrize("content", [None, b"\xc0\xff\x00"], ids=["missing", "not_text"])
+    @pytest.mark.parametrize(
+        "content", [None, b"\xc0\xff\x00", "directory"], ids=["missing", "not_text", "directory"]
+    )
     def test_load_names_unreadable_file(self, content, grid1d, tmp_path):
-        path = tmp_path / "u_000001.csv"
-        if content is not None:
+        path = tmp_path / "u_000001.f64"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
             path.write_bytes(content)
-        with pytest.raises(SnapshotFormatError, match="u_000001.csv"):
+        with pytest.raises(SnapshotFormatError, match="u_000001.f64"):
             load_field(path, grid1d)
