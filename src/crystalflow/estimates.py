@@ -20,6 +20,10 @@ per-record functionals are
 
 with difference quotients du_k = (u_k - u_{k-1})/tau and likewise dw_k.
 
+Each series is one array expression over the run's u and w, stacked as
+rows k = 0..K (_stacked); row k equals, bit for bit, its value from record
+k alone. Each stacked array costs (K+1) n 8 bytes on n nodes.
+
 Every inequality, the p-variant's dissipation law included, has the shape
 
     tau sum_{1<=k<=K} (running terms at k) + (endpoint terms at K)
@@ -37,12 +41,12 @@ one entry point to the three; p_variant_energy states the p-law.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .grid import _grad_sq, csv_line, laplacian_matrix
+from .grid import Grid, _grad_sq, csv_line, laplacian_matrix
 from .stepper import Trajectory
 
 __all__ = [
@@ -89,9 +93,31 @@ class EstimateReport:
         return self.margin >= -self.abs_tol
 
 
+def _stacked(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The run's u_k and w_k as rows k = 0..K of two (K+1) x n arrays."""
+    return (np.stack([rec.u.values for rec in traj.records]),
+            np.stack([rec.w.values for rec in traj.records]))
+
+
+def _integrals(grid: Grid, X: np.ndarray) -> np.ndarray:
+    """int x_k per row x_k of X, bit for bit qw @ x_k; X @ qw sums in another order."""
+    return np.vecdot(X, grid.quad_weights())
+
+
+def _laplacians(grid: Grid, X: np.ndarray) -> np.ndarray:
+    """Lap x_k per row x_k of X, in contiguous rows, which _integrals needs to be exact."""
+    return np.ascontiguousarray((laplacian_matrix(grid) @ X.T).T)
+
+
 @dataclass
 class _Functionals:
-    """Per-record quadrature functionals of one trajectory, k = 0..j."""
+    """Quadrature functionals of one trajectory, row k from record k = 0..K.
+
+    Row 0 of the rate du is the startup rate du_0 = Lap f(w_0) - r w_0,
+    with which the first difference equation closes; row 0 of dw is 0.
+    Rows k >= 1 are the difference quotients. Row 0 enters the reports
+    only through du_sq, as prop33's initial rate.
+    """
 
     tau: float
     r: float  # regularization weight
@@ -105,53 +131,30 @@ class _Functionals:
     gradw: np.ndarray  # int |grad w|^2
     lap_u_sq: np.ndarray  # int (Lap u)^2
     lap_f_sq: np.ndarray  # int (Lap f(w))^2
-    du_sq: np.ndarray  # ||du_k||^2, k >= 1; slot 0 holds the defining rate
-    dw_sq: np.ndarray  # ||dw_k||^2, k >= 1
-    grad_du: np.ndarray  # int |grad du_k|^2, k >= 1
+    du_sq: np.ndarray  # ||du_k||^2
+    dw_sq: np.ndarray  # ||dw_k||^2
+    grad_du: np.ndarray  # int |grad du_k|^2
 
 
 def _functionals(traj: Trajectory) -> _Functionals:
     grid = traj.grid
-    qw = grid.quad_weights()
-    lap = laplacian_matrix(grid)
-    f = traj.variant.f
     F = traj.variant.antiderivative
-    F0 = float(F(np.zeros(1))[0])
-    tau = traj.params.tau
-    r = traj.params.reg_weight
+    tau, r = traj.params.tau, traj.params.reg_weight
+    U, W = _stacked(traj)
+    fW, FW = traj.variant.f(W), F(W)
+    lap_f = _laplacians(grid, fW)
+    dU = np.concatenate([lap_f[:1] - r * W[:1], np.diff(U, axis=0) / tau])
 
-    def l2sq(x):
-        return float(qw @ (x * x))
+    def l2sq(X):
+        return _integrals(grid, X * X)
 
-    n = len(traj.records)
-    series = {fd.name: np.zeros(n) for fd in fields(_Functionals) if fd.name not in ("tau", "r")}
-    out = _Functionals(tau=tau, r=r, **series)
-    for k, rec in enumerate(traj.records):
-        u, w = rec.u.values, rec.w.values
-        fw, Fw = f(w), F(w)
-        out.M[k] = l2sq(u)
-        out.G[k] = _grad_sq(grid, u)
-        out.C[k] = float(qw @ Fw)
-        out.S[k] = _grad_sq(grid, fw)
-        out.W[k] = float(qw @ (w * fw))
-        out.E[k] = float(qw @ (w * fw - Fw + F0))
-        out.wsq[k] = l2sq(w)
-        out.gradw[k] = _grad_sq(grid, w)
-        out.lap_u_sq[k] = l2sq(lap @ u)
-        out.lap_f_sq[k] = l2sq(lap @ fw)
-        if k > 0:
-            prev = traj.records[k - 1]
-            du = (u - prev.u.values) / tau
-            dw = (w - prev.w.values) / tau
-            out.du_sq[k] = l2sq(du)
-            out.dw_sq[k] = l2sq(dw)
-            out.grad_du[k] = _grad_sq(grid, du)
-    # the k = 0 rate is the one the scheme's startup choice defines:
-    # du_0 = Lap f(w_0) - r w_0, so the first difference equation closes
-    w0 = traj.records[0].w.values
-    du0 = lap @ f(w0) - r * w0
-    out.du_sq[0] = l2sq(du0)
-    return out
+    return _Functionals(
+        tau, r, M=l2sq(U), G=_grad_sq(grid, U), C=_integrals(grid, FW), S=_grad_sq(grid, fW),
+        W=_integrals(grid, W * fW), E=_integrals(grid, W * fW - FW + float(F(np.zeros(1))[0])),
+        wsq=l2sq(W), gradw=_grad_sq(grid, W), lap_u_sq=l2sq(_laplacians(grid, U)),
+        lap_f_sq=l2sq(lap_f), du_sq=l2sq(dU), grad_du=_grad_sq(grid, dU),
+        dw_sq=l2sq(np.diff(W, axis=0, prepend=W[:1]) / tau),
+    )
 
 
 def _telescoped(name: str, tau: float, terms) -> EstimateReport:
@@ -272,10 +275,9 @@ REPORT_NAMES = tuple(_REPORTS)
 def standard_reports(traj: Trajectory, names=REPORT_NAMES) -> list[EstimateReport]:
     """The energy-inequality reports `names`, in that order.
 
-    The per-record functionals are computed once, in one pass over the
-    records, and shared by every report. Raises InvalidInputError unless
-    the variant is odd with f' >= 1 and uses the plain Laplacian exponent
-    (Variant.coercive).
+    The per-record functionals are computed once, over the whole run, and
+    shared by every report. Raises InvalidInputError unless the variant is
+    odd with f' >= 1 and uses the plain Laplacian exponent (Variant.coercive).
     """
     if not traj.variant.coercive:
         raise InvalidInputError(
@@ -301,30 +303,18 @@ class MonitorSeries:
 def continuum_monitors(traj: Trajectory) -> MonitorSeries:
     """Mass, Dirichlet energy, int F(w), L2 rate and sup |w| per record.
 
-    The one pass every per-record output column comes from. F is the
+    Every per-record output column comes from here. F is the
     antiderivative of the run's own variant, the C of the reports; for sinh
     it is cosh bit for bit, whence the name cosh_energy.
     """
     grid = traj.grid
-    qw = grid.quad_weights()
-    F = traj.variant.antiderivative
-    tau = traj.params.tau
-    n = len(traj.records)
-    mass = np.zeros(n)
-    dirichlet = np.zeros(n)
-    energy = np.zeros(n)
-    rate = np.zeros(n)
-    w_sup = np.zeros(n)
-    for k, rec in enumerate(traj.records):
-        w = rec.w.values
-        mass[k] = qw @ rec.u.values
-        dirichlet[k] = _grad_sq(grid, rec.u.values)
-        energy[k] = qw @ F(w)
-        w_sup[k] = np.abs(w).max()
-        if k > 0:
-            du = (rec.u.values - traj.records[k - 1].u.values) / tau
-            rate[k] = np.sqrt(qw @ (du * du))
-    return MonitorSeries(traj.times(), mass, dirichlet, energy, rate, w_sup)
+    U, W = _stacked(traj)
+    rate = np.diff(U, axis=0, prepend=U[:1]) / traj.params.tau
+    return MonitorSeries(
+        traj.times(), _integrals(grid, U), _grad_sq(grid, U),
+        _integrals(grid, traj.variant.antiderivative(W)),
+        np.sqrt(_integrals(grid, rate * rate)), np.abs(W).max(axis=1),
+    )
 
 
 def p_variant_energy(traj: Trajectory) -> EstimateReport:
@@ -349,28 +339,16 @@ def p_variant_energy(traj: Trajectory) -> EstimateReport:
         )
     p = v.p
     grid = traj.grid
-    qw = grid.quad_weights()
-    lap = laplacian_matrix(grid)
     h = grid.spacing[0]
-    tau = traj.params.tau
     r = traj.params.reg_weight
-    n = len(traj.records)
+    U, W = _stacked(traj)
+    phi = h * np.sum(np.abs(np.diff(U, axis=1) / h) ** p, axis=1)
+    M = _integrals(grid, U**2)
+    # int grad f(w) . grad w = -<f(w), Lap w>, exact by parts
+    Q = -_integrals(grid, v.f(W) * _laplacians(grid, W))
+    wsq = _integrals(grid, W * W)
 
-    phi = np.zeros(n)
-    M = np.zeros(n)
-    Q = np.zeros(n)
-    wsq = np.zeros(n)
-    for k, rec in enumerate(traj.records):
-        slope = np.diff(rec.u.values) / h
-        phi[k] = h * np.sum(np.abs(slope) ** p)
-        M[k] = qw @ (rec.u.values ** 2)
-        w = rec.w.values
-        fw = traj.variant.f(w)
-        # int grad f(w) . grad w = -<f(w), Lap w>, exact by parts
-        Q[k] = -float(qw @ (fw * (lap @ w)))
-        wsq[k] = qw @ (w * w)
-
-    return _telescoped("p_variant_energy", tau, [
+    return _telescoped("p_variant_energy", traj.params.tau, [
         ("p_dirichlet_endpoint", ENDPOINT, 1, phi),
         ("mass_endpoint", ENDPOINT, 0.5 * p * r, M),
         ("flux_gradient_time_integral", RUNNING, p, Q),

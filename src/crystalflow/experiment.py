@@ -250,8 +250,9 @@ def _with_param(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
     """cfg with param set to value, writing to its own subdirectory:
     variant_<name> for a make_variant name, else <param>_<value:g>."""
     if param == "variant":
+        variant = make_variant(value)  # an unknown kind is named before its directory
         output = dataclasses.replace(cfg.output, directory=f"variant_{value}")
-        return dataclasses.replace(cfg, variant=make_variant(value), output=output)
+        return dataclasses.replace(cfg, variant=variant, output=output)
     try:
         value = float(value)
         scheme = dataclasses.replace(cfg.scheme, **{param: value})

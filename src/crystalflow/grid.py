@@ -215,16 +215,21 @@ def grad_sq_integral(f: Field) -> float:
     up to round-off, so the discrete integration-by-parts identities used by
     the energy estimates telescope without consistency error.
     """
-    return _grad_sq(f.grid, f.values)
+    return float(_grad_sq(f.grid, f.values))
 
 
-def _grad_sq(grid: Grid, values: np.ndarray) -> float:
-    """grad_sq_integral of the flat nodal values on grid, with no Field made."""
+def _grad_sq(grid: Grid, values: np.ndarray) -> np.ndarray | float:
+    """grad_sq_integral of flat nodal values on grid, with no Field made.
+
+    values may stack fields along leading axes, each flat along the last;
+    every step acts on the grid axes alone, so each entry of the result is
+    bit for bit that of its field alone.
+    """
     weights = _axis_weights(grid)
-    v = values.reshape(grid.nodes)
+    v = values.reshape(values.shape[:-1] + grid.nodes)
     total = 0.0
     for axis, h in enumerate(grid.spacing):
-        d = np.diff(v, axis=axis)
+        d = np.diff(v, axis=axis - grid.dim)
         e = d * d
         # an edge along axis carries the trapezoid weight of every other
         # axis. Contracting them last axis first, a later axis is always the
@@ -234,8 +239,8 @@ def _grad_sq(grid: Grid, values: np.ndarray) -> float:
                 e = e @ weights[other]
             elif other < axis:
                 e = weights[other] @ e
-        total += np.sum(e) / h
-    return float(total)
+        total += np.sum(e, axis=-1) / h
+    return total
 
 
 def p_laplacian_1d(f: Field, p: float) -> Field:

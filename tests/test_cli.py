@@ -510,8 +510,10 @@ class TestCompareCommand:
             # both would run in variant_sinh
             ("sinh,sinh", "variant_sinh"),
             (",", "no variant"),
+            # not a kind, and not a directory name the output section allows
+            ("sinh,a#b", "unknown kind 'a#b'"),
         ],
-        ids=["tanh", "scaled_sinh", "repeated", "none"],
+        ids=["tanh", "scaled_sinh", "repeated", "none", "not-a-directory-name"],
     )
     def test_bad_variant_exit_2_before_any_run(
         self, variants, named, config_path, tmp_path, capsys

@@ -1,10 +1,12 @@
 """Estimate reports: closed-form oracles, invariants, monitors."""
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from crystalflow import estimates
 from crystalflow.config import _random_smooth
 from crystalflow.estimates import (
     EstimateReport,
@@ -15,7 +17,7 @@ from crystalflow.estimates import (
     write_terms_csv,
 )
 from crystalflow.exceptions import InvalidInputError, OverflowCapError
-from crystalflow.grid import Field, Grid, integrate
+from crystalflow.grid import Field, Grid, grad_sq_integral, integrate, laplacian_matrix
 from crystalflow.nonlinearity import make_variant, sinh_variant
 from crystalflow.stepper import SchemeParams, run
 
@@ -288,6 +290,105 @@ class TestMonitors:
             mass = continuum_monitors(traj).mass
             drifts.append(np.abs(mass - mass[0]).max())
         assert drifts[1] < drifts[0] / 1.8
+
+
+# runs whose series are computed over the whole run at once, each with a
+# grid shape, box, variant or exponent of its own: (grid, variant)
+WHOLE_RUN_CASES = {
+    "1d-65": (Grid(1, (1.0,), (65,)), make_variant("sinh")),
+    "2d-17x9-box-2x1": (Grid(2, (2.0, 1.0), (17, 9)), make_variant("sinh")),
+    "3d-9": (Grid(3, (1.0,) * 3, (9, 9, 9)), make_variant("sinh")),
+    "p3-1d-33": (Grid(1, (1.0,), (33,)), make_variant("p_exponent", p=3.0)),
+    "exp-1d-65": (Grid(1, (1.0,), (65,)), make_variant("exp")),
+    "linear-2d-9": (Grid(2, (1.0, 1.0), (9, 9)), make_variant("linear")),
+}
+
+
+@pytest.fixture(scope="module")
+def whole_runs():
+    """Six steps of each WHOLE_RUN_CASES run from amplitude 0.5."""
+    params = SchemeParams(tau=1e-3, horizon=6e-3)
+    return {case: run(_random_smooth(grid, 0.5, seed=4), params, variant)
+            for case, (grid, variant) in WHOLE_RUN_CASES.items()}
+
+
+def _per_record(traj):
+    """Every series of the reports and monitors, one record at a time:
+    (functionals, monitor columns, p-law series) as dicts of arrays."""
+    grid, qw = traj.grid, traj.grid.quad_weights()
+    lap = laplacian_matrix(grid)
+    f, F = traj.variant.f, traj.variant.antiderivative
+    F0 = F(np.zeros(1))[0]
+    tau, r, h, p = traj.params.tau, traj.params.reg_weight, grid.spacing[0], traj.variant.p
+
+    def grad_sq(x):
+        return grad_sq_integral(Field(grid, x))
+
+    fn, mon, plaw = {}, {}, {}
+
+    def add(series, **values):
+        for name, value in values.items():
+            series.setdefault(name, []).append(value)
+
+    for k, rec in enumerate(traj.records):
+        u, w = rec.u.values, rec.w.values
+        fw, Fw = f(w), F(w)
+        if k == 0:
+            du, dw, rate = lap @ fw - r * w, np.zeros_like(w), np.zeros_like(u)
+        else:
+            prev = traj.records[k - 1]
+            du, dw = (u - prev.u.values) / tau, (w - prev.w.values) / tau
+            rate = du
+        add(fn, M=qw @ (u * u), G=grad_sq(u), C=qw @ Fw, S=grad_sq(fw), W=qw @ (w * fw),
+            E=qw @ (w * fw - Fw + F0), wsq=qw @ (w * w), gradw=grad_sq(w),
+            lap_u_sq=qw @ ((lap @ u) * (lap @ u)), lap_f_sq=qw @ ((lap @ fw) * (lap @ fw)),
+            du_sq=qw @ (du * du), dw_sq=qw @ (dw * dw), grad_du=grad_sq(du))
+        add(mon, t=tau * k, mass=qw @ u, dirichlet=grad_sq(u), cosh_energy=qw @ Fw,
+            l2_time_derivative=np.sqrt(qw @ (rate * rate)), w_sup=np.abs(w).max())
+        if p is not None:
+            add(plaw, phi=h * np.sum(np.abs(np.diff(u) / h) ** p), M=qw @ (u**2),
+                Q=-(qw @ (fw * (lap @ w))), wsq=qw @ (w * w))
+    return tuple({name: np.array(v) for name, v in out.items()} for out in (fn, mon, plaw))
+
+
+class TestWholeRunSeries:
+    """Each series computed over the whole run equals, bit for bit, its
+    value computed from one record at a time."""
+
+    @pytest.mark.parametrize("case", WHOLE_RUN_CASES)
+    def test_functionals(self, case, whole_runs):
+        traj = whole_runs[case]
+        fn = estimates._functionals(traj)
+        expected, _, _ = _per_record(traj)
+        for name in expected:
+            assert np.array_equal(getattr(fn, name), expected[name]), name
+        assert set(expected) == {fd.name for fd in dataclasses.fields(fn)} - {"tau", "r"}
+
+    @pytest.mark.parametrize("case", WHOLE_RUN_CASES)
+    def test_monitors(self, case, whole_runs):
+        traj = whole_runs[case]
+        mon = continuum_monitors(traj)
+        _, expected, _ = _per_record(traj)
+        for fd in dataclasses.fields(mon):
+            assert np.array_equal(getattr(mon, fd.name), expected[fd.name]), fd.name
+
+    def test_p_variant_energy(self, whole_runs, monkeypatch):
+        traj = whole_runs["p3-1d-33"]
+        declared = []
+        telescoped = estimates._telescoped
+        monkeypatch.setattr(
+            estimates, "_telescoped",
+            lambda name, tau, terms: declared.extend(terms) or telescoped(name, tau, terms))
+        p_variant_energy(traj)
+        _, _, expected = _per_record(traj)
+        series = {
+            "p_dirichlet_endpoint": "phi", "mass_endpoint": "M",
+            "flux_gradient_time_integral": "Q", "reg_w_sq_time_integral": "wsq",
+            "rhs_p_dirichlet_initial": "phi", "rhs_mass_initial": "M",
+        }
+        assert [term for term, *_ in declared] == list(series)
+        for term, _, _, values in declared:
+            assert np.array_equal(values, expected[series[term]]), term
 
 
 class TestPVariantEnergy:
